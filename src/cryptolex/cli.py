@@ -9,6 +9,7 @@ import contextlib
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__
@@ -79,12 +80,19 @@ def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--blocklist", metavar="PATH", help="blocklist file (default: bundled list)")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; os.cpu_count() ignores affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strict", action="store_true", help="abort on the first malformed line")
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=os.cpu_count() or 1,
+        default=_usable_cpus(),
         help="worker processes for corpus scans (result is identical for any value)",
     )
 
@@ -338,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except BrokenPipeError:
+        return 1
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
     except (LexiconFormatError, PostFormatError, DiscoveryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .lexicon import AFFIX_KINDS, Lexicon
-from .morpho import Annotation, annotate_text, decompose, tokenize
+from .morpho import Annotation, annotate_text, decompose, normalized_words, tokenize
 
 DEFAULT_CHUNK_LINES = 5000
 
@@ -89,7 +89,13 @@ def parse_post_record(record, line: int | None = None) -> Post:
     )
 
 
-def parse_post_line(raw: str, line: int | None = None) -> Post:
+def parse_post_line(raw: str | bytes, line: int | None = None) -> Post:
+    """Parse one JSON Lines record; bytes are decoded strictly as UTF-8."""
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise PostFormatError("invalid UTF-8", line) from None
     text = raw.strip()
     if not text:
         raise PostFormatError("blank line", line)
@@ -100,18 +106,23 @@ def parse_post_line(raw: str, line: int | None = None) -> Post:
     return parse_post_record(record, line)
 
 
-def _as_lines(source: Path | str | Iterable[str]) -> Iterator[str]:
+def _as_lines(source: Path | str | Iterable[str | bytes]) -> Iterator[str | bytes]:
+    """Split a source on "\\n" only, as JSON Lines does. A Path yields
+    undecoded bytes, so invalid UTF-8 spoils one line, not the read."""
     if isinstance(source, Path):
-        with source.open("r", encoding="utf-8") as handle:
+        with source.open("rb") as handle:
             yield from handle
     elif isinstance(source, str):
-        yield from source.splitlines()
+        lines = source.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # a final newline ends the last line, not a new one
+        yield from lines
     else:
         yield from source
 
 
 def read_posts(
-    source: Path | str | Iterable[str],
+    source: Path | str | Iterable[str | bytes],
     strictness: str = "skip",
     report: ReadReport | None = None,
 ) -> Iterator[Post]:
@@ -173,9 +184,9 @@ def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
     docs = 0
     for post in posts:
         docs += 1
-        toks = [t.normalized for t in tokenize(post.text)]
-        counts.update(toks)
-        total += len(toks)
+        words = normalized_words(post.text)
+        counts.update(words)
+        total += len(words)
     return FrequencyTable(counts=dict(counts), total_tokens=total, doc_count=docs)
 
 
@@ -371,6 +382,19 @@ def _tally(report: ReadReport | None, lines: int, skipped: int, first_error: str
         report.first_error = first_error
 
 
+def _fold_tables(parts: Iterator[tuple], report: ReadReport | None) -> FrequencyTable:
+    """Fold chunk tables into one Counter in place; merge() would copy the
+    whole accumulated table for every chunk."""
+    counts: Counter[str] = Counter()
+    total = docs = 0
+    for part, lines, skipped, first_error in parts:
+        counts.update(part.counts)
+        total += part.total_tokens
+        docs += part.doc_count
+        _tally(report, lines, skipped, first_error)
+    return FrequencyTable(counts=dict(counts), total_tokens=total, doc_count=docs)
+
+
 def scan_frequency_table(
     source,
     *,
@@ -379,13 +403,9 @@ def scan_frequency_table(
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
-    table = FrequencyTable()
-    for part, lines, skipped, first_error in _map_chunks(
-        source, _scan_words_chunk, None, workers, strictness, chunk_lines
-    ):
-        table = merge(table, part)
-        _tally(report, lines, skipped, first_error)
-    return table
+    return _fold_tables(
+        _map_chunks(source, _scan_words_chunk, None, workers, strictness, chunk_lines), report
+    )
 
 
 def scan_affix_table(
@@ -397,13 +417,9 @@ def scan_affix_table(
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
-    table = FrequencyTable()
-    for part, lines, skipped, first_error in _map_chunks(
-        source, _scan_affixes_chunk, lexicon, workers, strictness, chunk_lines
-    ):
-        table = merge(table, part)
-        _tally(report, lines, skipped, first_error)
-    return table
+    return _fold_tables(
+        _map_chunks(source, _scan_affixes_chunk, lexicon, workers, strictness, chunk_lines), report
+    )
 
 
 def scan_usage(

@@ -92,6 +92,21 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def normalized_words(text: str) -> list[str]:
+    """The counting view of tokenize: [t.normalized for t in tokenize(text)],
+    without offsets or a Token per word.
+
+    Lowercasing the whole text agrees with tokenize's per-token lowercasing
+    for every code point but two, which fall back to tokenize: U+0130 (İ)
+    lowercases to two characters, the second not a word character, and
+    U+03A3 (Σ) lowercases by context (final sigma), which a whole text can
+    carry across a token boundary.
+    """
+    if "İ" in text or "Σ" in text:
+        return [t.normalized for t in tokenize(text)]
+    return _WORD.findall(_RUN3.sub(r"\1\1", text.lower()))
+
+
 def _ends_doubled_consonant(base: str) -> bool:
     if len(base) < 2 or base[-1] != base[-2]:
         return False

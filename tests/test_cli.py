@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import pytest
 
+from cryptolex import corpus as corpus_module
 from cryptolex import entries_to_jsonl, lexicon_from_tsv
-from cryptolex.cli import main
+from cryptolex.cli import build_parser, main
 
 from conftest import make_post, week_ts, write_jsonl
 
@@ -121,6 +123,18 @@ class TestAnnotateCommand:
         assert main(["annotate", "--input", str(path), "--workers", "1"]) == 0
         assert "skipped 1 malformed lines" in capsys.readouterr().err
 
+    def test_invalid_utf8_line_is_skipped(self, tmp_path, capsys):
+        good = [json.dumps(make_post(f"p{i}", "u", week_ts(2020, 1), "wristcel")) for i in (1, 3)]
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(good[0].encode() + b'\n{"id": "p2", "text": "\xff"}\n' + good[1].encode() + b"\n")
+        assert main(["annotate", "--input", str(path), "--workers", "1"]) == 0
+        captured = capsys.readouterr()
+        assert [json.loads(line)["id"] for line in captured.out.splitlines()] == ["p1", "p3"]
+        assert "skipped 1 malformed lines (first: line 2: invalid UTF-8)" in captured.err
+        assert "posts 2 " in captured.err
+        assert main(["annotate", "--input", str(path), "--strict", "--workers", "1"]) == 1
+        assert "error: line 2: invalid UTF-8" in capsys.readouterr().err
+
     def test_strict_aborts(self, tmp_path, capsys):
         path = tmp_path / "posts.jsonl"
         path.write_text("broken\n", encoding="utf-8")
@@ -226,7 +240,22 @@ class TestTrajectoryCommand:
         assert main(["trajectory", "--input", str(corpus), "--user", "ann", "--all"]) == 2
 
 
+def _crash_worker(chunk):
+    os._exit(3)
+
+
 class TestExitContract:
+    def test_crashed_worker_is_data_error(self, corpus, background, monkeypatch, capsys):
+        monkeypatch.setattr(corpus_module, "_scan_words_chunk", _crash_worker)
+        argv = ["discover", "--input", str(corpus), "--background", str(background), "--workers", "2"]
+        assert main(argv) == 1
+        assert "error: a worker process died" in capsys.readouterr().err
+
+    def test_workers_default_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        args = build_parser().parse_args(["discover", "--input", "a", "--background", "b"])
+        assert args.workers == 1
+
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
 

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
     FrequencyTable,
@@ -76,6 +77,14 @@ class TestParsePost:
         with pytest.raises(PostFormatError, match="line 7"):
             parse_post_line("nope", line=7)
 
+    def test_bytes_decoded_as_utf8(self):
+        raw = json.dumps({**GOOD, "text": "héllo\u2028"}, ensure_ascii=False).encode("utf-8")
+        assert parse_post_line(raw) == parse_post_line(raw.decode("utf-8"))
+
+    def test_invalid_utf8_is_malformed(self):
+        with pytest.raises(PostFormatError, match="line 3: invalid UTF-8"):
+            parse_post_line(b'{"id": "\xff"}\n', line=3)
+
 
 class TestReadPosts:
     def test_skip_mode_counts(self):
@@ -97,6 +106,25 @@ class TestReadPosts:
 
     def test_from_iterable(self):
         assert [p.id for p in read_posts([jline(GOOD)])] == ["p1"]
+
+    def test_source_kinds_agree(self, tmp_path):
+        # U+2028 is a line break to str.splitlines but not to JSON Lines
+        text = (
+            jline(GOOD)
+            + "\nbroken\n"
+            + json.dumps({**GOOD, "id": "p2", "text": "a\u2028b\x85c"}, ensure_ascii=False)
+            + "\n"
+        )
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        results = []
+        for source in (path, text, io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            report = ReadReport()
+            results.append((list(read_posts(source, report=report)), report))
+        assert all(r == results[0] for r in results[1:])
+        posts, report = results[0]
+        assert [p.id for p in posts] == ["p1", "p2"]
+        assert (report.lines, report.parsed, report.skipped) == (3, 2, 1)
 
     def test_unknown_strictness(self):
         with pytest.raises(ValueError):
@@ -268,6 +296,17 @@ class TestShardedScans:
         with pytest.raises(PostFormatError, match="line 2"):
             scan_frequency_table(path, workers=2, strictness="strict", chunk_lines=1)
 
+    def test_invalid_utf8_line_skipped(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(jline(GOOD).encode() + b"\n\xff\n" + jline({**GOOD, "id": "p2"}).encode())
+        report = ReadReport()
+        assert [p.id for p in read_posts(path, report=report)] == ["p1", "p2"]
+        scan_report = ReadReport()
+        table = scan_frequency_table(path, workers=2, chunk_lines=1, report=scan_report)
+        assert table.doc_count == 2
+        assert report == scan_report
+        assert (report.lines, report.skipped, report.first_error) == (3, 1, "line 2: invalid UTF-8")
+
     def test_skip_scan_reports(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(jline(GOOD) + "\nbroken\n" + jline({**GOOD, "id": "p2"}) + "\n")
@@ -276,3 +315,48 @@ class TestShardedScans:
         assert table.doc_count == 2
         assert report.skipped == 1
         assert "line 2" in report.first_error
+
+
+MALFORMED = ["", "  ", "broken", "{", jline({"id": "x"}), jline([1]), jline({**GOOD, "created_utc": -1})]
+
+scan_lines = st.lists(
+    st.one_of(
+        st.text(max_size=30).map(lambda text: ("post", text)),
+        st.sampled_from(MALFORMED).map(lambda bad: ("bad", bad)),
+    ),
+    max_size=12,
+)
+
+
+def render_lines(items) -> str:
+    out = []
+    for i, (kind, value) in enumerate(items):
+        if kind == "post":
+            value = json.dumps({**GOOD, "id": f"p{i}", "text": value}, ensure_ascii=False)
+        out.append(value + "\n")
+    return "".join(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scan_lines, st.integers(1, 4))
+def test_scan_invariant_to_source_workers_and_chunks(tmp_path_factory, items, chunk_lines):
+    text = render_lines(items)
+    path = tmp_path_factory.mktemp("scan") / "posts.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    reference = ReadReport()
+    expected = build_frequency_table(read_posts(text, report=reference)).canonical_json()
+    bad = [i for i, (kind, _) in enumerate(items, start=1) if kind == "bad"]
+    for make_source in (lambda: path, lambda: text, lambda: io.StringIO(text)):
+        for workers in (1, 2):
+            report = ReadReport()
+            table = scan_frequency_table(
+                make_source(), workers=workers, chunk_lines=chunk_lines, report=report
+            )
+            assert table.canonical_json() == expected
+            assert report == reference
+            if bad:
+                with pytest.raises(PostFormatError) as err:
+                    scan_frequency_table(
+                        make_source(), workers=workers, strictness="strict", chunk_lines=chunk_lines
+                    )
+                assert err.value.line == bad[0]

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
     annotate,
     annotate_text,
     decompose,
     normalize_token,
+    normalized_words,
     reconstruct,
     strip_inflection,
     tokenize,
 )
+from cryptolex.morpho import _WORD
 
 
 class TestNormalize:
@@ -53,6 +58,48 @@ class TestTokenize:
     def test_offsets_always_recover_raw(self, text):
         for tok in tokenize(text):
             assert text[tok.start : tok.end] == tok.raw
+
+
+class TestNormalizedWords:
+    """The counting view must equal the normalized field of tokenize."""
+
+    @settings(max_examples=500)
+    @given(st.text())
+    def test_matches_tokenize(self, text):
+        assert normalized_words(text) == [t.normalized for t in tokenize(text)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ΑΣ'Β",  # final sigma by token, not by text
+            "İx",  # lowercases to i plus a combining dot
+            "ßẞ",
+            "sooo_xx",
+            "aaaa1111",
+        ],
+    )
+    def test_pinned_cases(self, text):
+        assert normalized_words(text) == [t.normalized for t in tokenize(text)]
+
+    def test_lowercase_keeps_length_and_classes(self):
+        # The premise of lowercasing a whole text: every code point but
+        # U+0130 lowercases to one character of the same word and letter
+        # status, so token boundaries and letter runs are unchanged. A new
+        # Python or Unicode version that breaks this fails here.
+        letter = re.compile(r"[^\W\d_]")  # the run class of _RUN3
+        broken = []
+        for cp in range(sys.maxunicode + 1):
+            if 0xD800 <= cp <= 0xDFFF or cp == 0x130:
+                continue
+            ch = chr(cp)
+            low = ch.lower()
+            if (
+                len(low) != 1
+                or bool(_WORD.match(ch)) != bool(_WORD.match(low))
+                or bool(letter.match(ch)) != bool(letter.match(low))
+            ):
+                broken.append(f"U+{cp:04X}")
+        assert broken == []
 
 
 class TestStripInflection:
