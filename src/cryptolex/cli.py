@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -214,19 +215,13 @@ def run_discover(args) -> int:
     report = ReadReport()
     if args.affixes:
         lexicon = _load_cli_lexicon(args)
-        target = scan_affix_table(
-            Path(args.input), lexicon, workers=args.workers, strictness=strictness, report=report
-        )
-        background = scan_affix_table(
-            Path(args.background), lexicon, workers=args.workers, strictness=strictness, report=report
-        )
+        scan = functools.partial(scan_affix_table, lexicon=lexicon)
     else:
-        target = scan_frequency_table(
-            Path(args.input), workers=args.workers, strictness=strictness, report=report
-        )
-        background = scan_frequency_table(
-            Path(args.background), workers=args.workers, strictness=strictness, report=report
-        )
+        scan = scan_frequency_table
+    target, background = (
+        scan(Path(path), workers=args.workers, strictness=strictness, report=report)
+        for path in (args.input, args.background)
+    )
     rows = log_ratio_rank(
         target, background, alpha=args.alpha, top_k=args.top_k, min_count=args.min_count
     )

@@ -14,10 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .lexicon import AFFIX_KINDS, Lexicon
-from .morpho import Annotation, annotate_text, decompose, normalized_words, tokenize
+from .morpho import Annotation, annotate_text, normalized_words
 
 DEFAULT_CHUNK_LINES = 5000
 
@@ -53,6 +53,14 @@ class ReadReport:
         self.skipped += 1
         if self.first_error is None:
             self.first_error = message
+
+    def add(self, later: ReadReport) -> None:
+        """Fold in the tally of the input that follows this one."""
+        self.lines += later.lines
+        self.parsed += later.parsed
+        self.skipped += later.skipped
+        if self.first_error is None:
+            self.first_error = later.first_error
 
 
 def parse_post_record(record, line: int | None = None) -> Post:
@@ -121,6 +129,30 @@ def _as_lines(source: Path | str | Iterable[str | bytes]) -> Iterator[str | byte
         yield from source
 
 
+def _is_strict(strictness: str) -> bool:
+    if strictness not in ("strict", "skip"):
+        raise ValueError(f"strictness must be 'strict' or 'skip', got {strictness!r}")
+    return strictness == "strict"
+
+
+def _parse_lines(
+    numbered: Iterable[tuple[int, str | bytes]], strict: bool, report: ReadReport
+) -> Iterator[Post]:
+    """The one skip/strict parser over (line number, raw line) pairs: skip
+    mode tallies and drops malformed lines, strict mode raises on the first."""
+    for lineno, raw in numbered:
+        report.lines += 1
+        try:
+            post = parse_post_line(raw, lineno)
+        except PostFormatError as exc:
+            if strict:
+                raise
+            report.record_error(str(exc))
+            continue
+        report.parsed += 1
+        yield post
+
+
 def read_posts(
     source: Path | str | Iterable[str | bytes],
     strictness: str = "skip",
@@ -131,22 +163,9 @@ def read_posts(
     skip mode drops malformed lines and tallies them in report; strict
     mode raises PostFormatError on the first bad line.
     """
-    if strictness not in ("strict", "skip"):
-        raise ValueError(f"strictness must be 'strict' or 'skip', got {strictness!r}")
-    for lineno, raw in enumerate(_as_lines(source), start=1):
-        if report is not None:
-            report.lines += 1
-        try:
-            post = parse_post_line(raw, lineno)
-        except PostFormatError as exc:
-            if strictness == "strict":
-                raise
-            if report is not None:
-                report.record_error(str(exc))
-            continue
-        if report is not None:
-            report.parsed += 1
-        yield post
+    strict = _is_strict(strictness)  # checked at the call, not on the first next()
+    report = ReadReport() if report is None else report
+    return _parse_lines(enumerate(_as_lines(source), start=1), strict, report)
 
 
 @dataclass
@@ -190,43 +209,26 @@ def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
     return FrequencyTable(counts=dict(counts), total_tokens=total, doc_count=docs)
 
 
-def _count_affixes_in_text(
-    text: str,
-    lexicon: Lexicon,
-    counts: Counter,
-    cache: dict[tuple[str, bool], tuple[str, ...]],
-) -> None:
+def _affix_table(posts: Iterable[Post], lexicon: Lexicon, cache: dict) -> FrequencyTable:
     # An affix occurrence is any productive prefix/suffix entry referenced
     # by the token's best parse, keyed by canonical surface so variant
     # spellings ("mogg") count toward their entry ("mog").
-    for tok in tokenize(text):
-        key = (tok.normalized, tok.elongated)
-        surfaces = cache.get(key)
-        if surfaces is None:
-            parses = decompose(tok.normalized, lexicon, elongated=tok.elongated)
-            if parses:
-                surfaces = tuple(
-                    seg.entry.surface
-                    for seg in parses[0].segments
-                    if seg.entry is not None
-                    and seg.entry.productive
-                    and seg.entry.kind in AFFIX_KINDS
-                )
-            else:
-                surfaces = ()
-            cache[key] = surfaces
-        counts.update(surfaces)
+    counts: Counter[str] = Counter()
+    docs = 0
+    for post in posts:
+        docs += 1
+        for span in annotate_text(post.id, post.text, lexicon, cache).spans:
+            counts.update(
+                seg.entry.surface
+                for seg in span.parse.segments
+                if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
+            )
+    return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()), doc_count=docs)
 
 
 def build_affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
     """Count productive-affix occurrences in best parses, keyed by surface."""
-    counts: Counter[str] = Counter()
-    cache: dict[tuple[str, bool], tuple[str, ...]] = {}
-    docs = 0
-    for post in posts:
-        docs += 1
-        _count_affixes_in_text(post.text, lexicon, counts, cache)
-    return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()), doc_count=docs)
+    return _affix_table(posts, lexicon, {})
 
 
 def iso_week(created_utc: int) -> str:
@@ -243,88 +245,78 @@ def week_index(label: str) -> int:
     return date.fromisocalendar(int(year), int(week), 1).toordinal() // 7
 
 
-def bucket_posts(posts: Iterable[Post], by: str = "user"):
-    """Group posts by user or by (user, ISO week), deterministically ordered.
-
-    Materializes the groups; meant for desk-scale fixtures. Corpus-scale
-    paths should aggregate counts with scan_usage instead of holding posts.
-    """
-    if by not in ("user", "user_week"):
-        raise ValueError(f"by must be 'user' or 'user_week', got {by!r}")
-    groups: dict = {}
+def fold_usage(
+    posts: Iterable[Post], lexicon: Lexicon, cache: dict, key: Callable[[Post], Hashable]
+) -> dict:
+    """Sum [posts, tokens, matched] per key(post), annotating through cache."""
+    usage: dict = {}
     for post in posts:
-        key = post.user if by == "user" else (post.user, iso_week(post.created_utc))
-        groups.setdefault(key, []).append(post)
-    return [(key, groups[key]) for key in sorted(groups)]
-
-
-# ---------------------------------------------------------------------------
-# Sharded scans. Line chunks fan out to worker processes; results merge with
-# associative operations, so output is identical for any worker count.
-
-_worker_lexicon: Lexicon | None = None
-_worker_strict: bool = False
-_worker_cache: dict = {}
-
-
-def _init_worker(lexicon: Lexicon | None, strict: bool) -> None:
-    global _worker_lexicon, _worker_strict, _worker_cache
-    _worker_lexicon = lexicon
-    _worker_strict = strict
-    _worker_cache = {}
-
-
-def _chunk_posts(chunk: tuple[int, list[str]]) -> tuple[list[Post], int, int, str | None]:
-    start, lines = chunk
-    posts = []
-    skipped = 0
-    first_error = None
-    for offset, raw in enumerate(lines):
-        try:
-            posts.append(parse_post_line(raw, start + offset))
-        except PostFormatError as exc:
-            if _worker_strict:
-                raise
-            skipped += 1
-            if first_error is None:
-                first_error = str(exc)
-    return posts, len(lines), skipped, first_error
-
-
-def _scan_words_chunk(chunk) -> tuple[FrequencyTable, int, int, str | None]:
-    posts, lines, skipped, first_error = _chunk_posts(chunk)
-    return build_frequency_table(posts), lines, skipped, first_error
-
-
-def _scan_affixes_chunk(chunk) -> tuple[FrequencyTable, int, int, str | None]:
-    posts, lines, skipped, first_error = _chunk_posts(chunk)
-    counts: Counter[str] = Counter()
-    for post in posts:
-        _count_affixes_in_text(post.text, _worker_lexicon, counts, _worker_cache)
-    table = FrequencyTable(dict(counts), sum(counts.values()), len(posts))
-    return table, lines, skipped, first_error
-
-
-def _scan_usage_chunk(chunk) -> tuple[dict, int, int, str | None]:
-    posts, lines, skipped, first_error = _chunk_posts(chunk)
-    usage: dict[tuple[str, str], list[int]] = {}
-    for post in posts:
-        ann = annotate_text(post.id, post.text, _worker_lexicon, _worker_cache)
-        cell = usage.setdefault((post.user, iso_week(post.created_utc)), [0, 0, 0])
+        cell = usage.setdefault(key(post), [0, 0, 0])
+        ann = annotate_text(post.id, post.text, lexicon, cache)
         cell[0] += 1
         cell[1] += ann.token_count
         cell[2] += ann.matched_count
-    return usage, lines, skipped, first_error
+    return usage
 
 
-def _scan_annotate_chunk(chunk) -> tuple[list[Annotation], int, int, str | None]:
-    posts, lines, skipped, first_error = _chunk_posts(chunk)
-    anns = [annotate_text(p.id, p.text, _worker_lexicon, _worker_cache) for p in posts]
-    return anns, lines, skipped, first_error
+# ---------------------------------------------------------------------------
+# Sharded scans. Line chunks fan out to worker processes; each chunk
+# function returns (part, ReadReport) for its chunk, and parts merge with
+# associative operations, so output is identical for any worker count.
+
+@dataclass(frozen=True)
+class _ScanState:
+    """What a scan's chunk functions read: its lexicon, its strictness and
+    its parse cache, one value per scan."""
+
+    lexicon: Lexicon | None
+    strict: bool
+    cache: dict = field(default_factory=dict)
 
 
-def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str]]]:
-    batch: list[str] = []
+_state: _ScanState | None = None
+
+
+def _init_worker(state: _ScanState) -> None:
+    global _state
+    _state = state
+
+
+def _chunk_posts(chunk: tuple[int, list[str | bytes]], report: ReadReport) -> list[Post]:
+    # parsed up front: interleaving parsing with annotation measured about
+    # 7% slower for CLI annotate at 2 workers on a 2-core machine
+    start, lines = chunk
+    return list(_parse_lines(enumerate(lines, start), _state.strict, report))
+
+
+def _user_week(post: Post) -> tuple[str, str]:
+    return post.user, iso_week(post.created_utc)
+
+
+def _scan_words_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
+    report = ReadReport()
+    return build_frequency_table(_chunk_posts(chunk, report)), report
+
+
+def _scan_affixes_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
+    report = ReadReport()
+    return _affix_table(_chunk_posts(chunk, report), _state.lexicon, _state.cache), report
+
+
+def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
+    report = ReadReport()
+    posts = _chunk_posts(chunk, report)
+    return fold_usage(posts, _state.lexicon, _state.cache, _user_week), report
+
+
+def _scan_annotate_chunk(chunk) -> tuple[list[Annotation], ReadReport]:
+    report = ReadReport()
+    posts = _chunk_posts(chunk, report)
+    return [annotate_text(p.id, p.text, _state.lexicon, _state.cache) for p in posts], report
+
+
+def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str | bytes]]]:
+    batch: list[str | bytes] = []
     start = 1
     lineno = 0
     for lineno, raw in enumerate(_as_lines(source), start=1):
@@ -337,30 +329,16 @@ def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str]]]:
         yield start, batch
 
 
-def _map_chunks(
-    source,
-    chunk_fn,
-    lexicon: Lexicon | None,
-    workers: int,
-    strictness: str,
-    chunk_lines: int,
-) -> Iterator[tuple]:
-    """Run chunk_fn over line chunks, yielding results in input order.
-
-    In-flight futures are capped so the parent never buffers more than a
-    bounded window of lines regardless of corpus size.
-    """
-    if strictness not in ("strict", "skip"):
-        raise ValueError(f"strictness must be 'strict' or 'skip', got {strictness!r}")
-    strict = strictness == "strict"
-    chunks = _chunks(source, chunk_lines)
+def _run_chunks(chunks: Iterator, chunk_fn, state: _ScanState, workers: int) -> Iterator[tuple]:
     if workers <= 1:
-        _init_worker(lexicon, strict)
         for chunk in chunks:
+            # rebound per chunk: another scan in this process may have run
+            # since, and its state must not leak into this one
+            _init_worker(state)
             yield chunk_fn(chunk)
         return
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(lexicon, strict)
+        max_workers=workers, initializer=_init_worker, initargs=(state,)
     ) as pool:
         window = workers * 3
         pending: deque = deque()
@@ -372,26 +350,37 @@ def _map_chunks(
             yield pending.popleft().result()
 
 
-def _tally(report: ReadReport | None, lines: int, skipped: int, first_error: str | None) -> None:
-    if report is None:
-        return
-    report.lines += lines
-    report.parsed += lines - skipped
-    report.skipped += skipped
-    if report.first_error is None and first_error is not None:
-        report.first_error = first_error
+def _map_chunks(
+    source,
+    chunk_fn,
+    lexicon: Lexicon | None,
+    workers: int,
+    strictness: str,
+    chunk_lines: int,
+    report: ReadReport | None,
+) -> Iterator:
+    """Run chunk_fn over line chunks, yielding its parts in input order and
+    adding each chunk's ReadReport into report.
+
+    In-flight futures are capped so the parent never buffers more than a
+    bounded window of lines regardless of corpus size.
+    """
+    state = _ScanState(lexicon, _is_strict(strictness))
+    for part, chunk_report in _run_chunks(_chunks(source, chunk_lines), chunk_fn, state, workers):
+        if report is not None:
+            report.add(chunk_report)
+        yield part
 
 
-def _fold_tables(parts: Iterator[tuple], report: ReadReport | None) -> FrequencyTable:
+def _fold_tables(parts: Iterator[FrequencyTable]) -> FrequencyTable:
     """Fold chunk tables into one Counter in place; merge() would copy the
     whole accumulated table for every chunk."""
     counts: Counter[str] = Counter()
     total = docs = 0
-    for part, lines, skipped, first_error in parts:
+    for part in parts:
         counts.update(part.counts)
         total += part.total_tokens
         docs += part.doc_count
-        _tally(report, lines, skipped, first_error)
     return FrequencyTable(counts=dict(counts), total_tokens=total, doc_count=docs)
 
 
@@ -404,7 +393,7 @@ def scan_frequency_table(
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
     return _fold_tables(
-        _map_chunks(source, _scan_words_chunk, None, workers, strictness, chunk_lines), report
+        _map_chunks(source, _scan_words_chunk, None, workers, strictness, chunk_lines, report)
     )
 
 
@@ -418,7 +407,7 @@ def scan_affix_table(
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
     return _fold_tables(
-        _map_chunks(source, _scan_affixes_chunk, lexicon, workers, strictness, chunk_lines), report
+        _map_chunks(source, _scan_affixes_chunk, lexicon, workers, strictness, chunk_lines, report)
     )
 
 
@@ -433,15 +422,14 @@ def scan_usage(
 ) -> dict[tuple[str, str], tuple[int, int, int]]:
     """Aggregate (user, iso_week) -> (posts, tokens, matched) over a corpus."""
     usage: dict[tuple[str, str], list[int]] = {}
-    for part, lines, skipped, first_error in _map_chunks(
-        source, _scan_usage_chunk, lexicon, workers, strictness, chunk_lines
+    for part in _map_chunks(
+        source, _scan_usage_chunk, lexicon, workers, strictness, chunk_lines, report
     ):
         for key, (n_posts, n_tokens, n_matched) in part.items():
             cell = usage.setdefault(key, [0, 0, 0])
             cell[0] += n_posts
             cell[1] += n_tokens
             cell[2] += n_matched
-        _tally(report, lines, skipped, first_error)
     return {key: tuple(cell) for key, cell in usage.items()}
 
 
@@ -455,8 +443,7 @@ def scan_annotations(
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> Iterator[Annotation]:
     """Annotate a corpus, yielding annotations in input order."""
-    for anns, lines, skipped, first_error in _map_chunks(
-        source, _scan_annotate_chunk, lexicon, workers, strictness, chunk_lines
+    for anns in _map_chunks(
+        source, _scan_annotate_chunk, lexicon, workers, strictness, chunk_lines, report
     ):
-        _tally(report, lines, skipped, first_error)
         yield from anns

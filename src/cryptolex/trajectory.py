@@ -16,9 +16,8 @@ from typing import Iterable
 
 import csv
 
-from .corpus import Post, iso_week, week_index
+from .corpus import Post, fold_usage, iso_week, week_index
 from .lexicon import Lexicon
-from .morpho import annotate_text
 
 
 @dataclass(frozen=True)
@@ -68,22 +67,20 @@ def usage_series(posts: Iterable[Post], lexicon: Lexicon, user: str | None = Non
     All posts must carry the same user id; pass user= to pin the expected
     id (required for an empty stream, where it cannot be inferred).
     """
-    week_counts: dict[str, list[int]] = {}
-    cache: dict = {}
     series_user = user
-    for post in posts:
+
+    def week_of_one_user(post: Post) -> str:
+        nonlocal series_user
         if series_user is None:
             series_user = post.user
         elif post.user != series_user:
             raise ValueError(
                 f"mixed user ids: expected {series_user!r}, got {post.user!r} (post {post.id})"
             )
-        ann = annotate_text(post.id, post.text, lexicon, cache)
-        cell = week_counts.setdefault(iso_week(post.created_utc), [0, 0, 0])
-        cell[0] += 1
-        cell[1] += ann.token_count
-        cell[2] += ann.matched_count
-    return series_from_counts(series_user or "", {w: tuple(c) for w, c in week_counts.items()})
+        return iso_week(post.created_utc)
+
+    week_counts = fold_usage(posts, lexicon, {}, week_of_one_user)
+    return series_from_counts(series_user or "", week_counts)
 
 
 def _weighted_rate(buckets: Iterable[WeekBucket]) -> float:

@@ -11,9 +11,10 @@ from cryptolex import (
     Post,
     PostFormatError,
     ReadReport,
+    annotate_text,
     build_affix_table,
     build_frequency_table,
-    bucket_posts,
+    build_lexicon,
     iso_week,
     merge,
     parse_post_line,
@@ -214,30 +215,6 @@ class TestWeeks:
         assert week_index("2020-W01") - week_index("2019-W52") == 1
         assert week_index("2021-W01") - week_index("2020-W53") == 1
 
-    def test_bucket_by_user(self):
-        posts = [
-            parse_post_line(jline({**GOOD, "id": "a", "user": "zoe"})),
-            parse_post_line(jline({**GOOD, "id": "b", "user": "amy"})),
-            parse_post_line(jline({**GOOD, "id": "c", "user": "zoe"})),
-        ]
-        buckets = bucket_posts(posts, by="user")
-        assert [(k, [p.id for p in v]) for k, v in buckets] == [
-            ("amy", ["b"]),
-            ("zoe", ["a", "c"]),
-        ]
-
-    def test_bucket_by_user_week(self):
-        posts = [
-            parse_post_line(jline({**GOOD, "id": "a", "created_utc": week_ts(2020, 2)})),
-            parse_post_line(jline({**GOOD, "id": "b", "created_utc": week_ts(2020, 3)})),
-        ]
-        buckets = bucket_posts(posts, by="user_week")
-        assert [k for k, _ in buckets] == [("u1", "2020-W02"), ("u1", "2020-W03")]
-
-    def test_bucket_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
-            bucket_posts([], by="forum")
-
 
 def corpus_file(tmp_path, n=40):
     rows = []
@@ -247,6 +224,11 @@ def corpus_file(tmp_path, n=40):
             make_post(f"p{i}", f"u{i % 3}", week_ts(2020, 1 + i % 5), texts[i % len(texts)])
         )
     return write_jsonl(tmp_path / "corpus.jsonl", rows)
+
+
+def test_read_posts_rejects_bad_strictness_at_call():
+    with pytest.raises(ValueError, match="strictness"):
+        read_posts([], strictness="lenient")
 
 
 class TestShardedScans:
@@ -316,12 +298,42 @@ class TestShardedScans:
         assert report.skipped == 1
         assert "line 2" in report.first_error
 
+    def test_in_process_scan_keeps_its_strictness(self, tmp_path, seed_lexicon):
+        # a strict workers=1 scan started while a skip-mode one is still being
+        # consumed must not make the first one abort on its malformed line
+        path = tmp_path / "bad.jsonl"
+        path.write_text(jline(GOOD) + "\nbroken\n" + jline({**GOOD, "id": "p2"}) + "\n")
+        skipping = scan_annotations(path, seed_lexicon, chunk_lines=1)
+        assert next(skipping).post_id == "p1"
+        strict = scan_annotations(path, seed_lexicon, strictness="strict", chunk_lines=1)
+        assert next(strict).post_id == "p1"
+        assert [a.post_id for a in skipping] == ["p2"]
+        with pytest.raises(PostFormatError, match="line 2"):
+            next(strict)
+
+    def test_in_process_scan_keeps_its_lexicon(self, tmp_path, seed_lexicon):
+        path = corpus_file(tmp_path, n=8)
+        expected = [a.matched_count for a in scan_annotations(path, seed_lexicon)]
+        seeded = scan_annotations(path, seed_lexicon, chunk_lines=2)
+        first = next(seeded)
+        empty = scan_annotations(path, build_lexicon([]), chunk_lines=2)
+        assert next(empty).matched_count == 0
+        assert [first.matched_count] + [a.matched_count for a in seeded] == expected
+        assert sum(expected) > 0
+        assert sum(a.matched_count for a in empty) == 0
+
 
 MALFORMED = ["", "  ", "broken", "{", jline({"id": "x"}), jline([1]), jline({**GOOD, "created_utc": -1})]
 
+CODED_TEXTS = ["wristcel cope", "the gymcels lifts", "mogging sooo hard", "currycel mogg"]
+
 scan_lines = st.lists(
     st.one_of(
-        st.text(max_size=30).map(lambda text: ("post", text)),
+        st.tuples(
+            st.sampled_from(["u1", "u2"]),
+            st.integers(1, 3),
+            st.one_of(st.text(max_size=30), st.sampled_from(CODED_TEXTS)),
+        ).map(lambda post: ("post", post)),
         st.sampled_from(MALFORMED).map(lambda bad: ("bad", bad)),
     ),
     max_size=12,
@@ -332,31 +344,57 @@ def render_lines(items) -> str:
     out = []
     for i, (kind, value) in enumerate(items):
         if kind == "post":
-            value = json.dumps({**GOOD, "id": f"p{i}", "text": value}, ensure_ascii=False)
+            user, week, text = value
+            record = {**GOOD, "id": f"p{i}", "user": user, "created_utc": week_ts(2020, week)}
+            value = json.dumps({**record, "text": text}, ensure_ascii=False)
         out.append(value + "\n")
     return "".join(out)
 
 
+SCANS = {
+    "words": lambda source, lex, **kw: scan_frequency_table(source, **kw).canonical_json(),
+    "affixes": lambda source, lex, **kw: scan_affix_table(source, lex, **kw).canonical_json(),
+    "usage": lambda source, lex, **kw: scan_usage(source, lex, **kw),
+    "annotations": lambda source, lex, **kw: list(scan_annotations(source, lex, **kw)),
+}
+
+
+def reference_scans(posts, lexicon) -> dict:
+    """What each scan must return, from one pass over the parsed posts."""
+    anns = [annotate_text(post.id, post.text, lexicon) for post in posts]
+    usage: dict = {}
+    for post, ann in zip(posts, anns):
+        key = (post.user, iso_week(post.created_utc))
+        n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
+        usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+    return {
+        "words": build_frequency_table(posts).canonical_json(),
+        "affixes": build_affix_table(posts, lexicon).canonical_json(),
+        "usage": usage,
+        "annotations": anns,
+    }
+
+
 @settings(max_examples=30, deadline=None)
 @given(scan_lines, st.integers(1, 4))
-def test_scan_invariant_to_source_workers_and_chunks(tmp_path_factory, items, chunk_lines):
+def test_scan_invariant_to_source_workers_and_chunks(
+    tmp_path_factory, seed_lexicon, items, chunk_lines
+):
     text = render_lines(items)
     path = tmp_path_factory.mktemp("scan") / "posts.jsonl"
     path.write_bytes(text.encode("utf-8"))
     reference = ReadReport()
-    expected = build_frequency_table(read_posts(text, report=reference)).canonical_json()
+    expected = reference_scans(list(read_posts(text, report=reference)), seed_lexicon)
     bad = [i for i, (kind, _) in enumerate(items, start=1) if kind == "bad"]
     for make_source in (lambda: path, lambda: text, lambda: io.StringIO(text)):
         for workers in (1, 2):
-            report = ReadReport()
-            table = scan_frequency_table(
-                make_source(), workers=workers, chunk_lines=chunk_lines, report=report
-            )
-            assert table.canonical_json() == expected
-            assert report == reference
-            if bad:
-                with pytest.raises(PostFormatError) as err:
-                    scan_frequency_table(
-                        make_source(), workers=workers, strictness="strict", chunk_lines=chunk_lines
-                    )
-                assert err.value.line == bad[0]
+            for name, scan in SCANS.items():
+                report = ReadReport()
+                kwargs = {"workers": workers, "chunk_lines": chunk_lines}
+                result = scan(make_source(), seed_lexicon, report=report, **kwargs)
+                assert result == expected[name], name
+                assert report == reference, name
+                if bad:
+                    with pytest.raises(PostFormatError) as err:
+                        scan(make_source(), seed_lexicon, strictness="strict", **kwargs)
+                    assert err.value.line == bad[0], name
