@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .lexicon import AFFIX_KINDS, Lexicon
-from .morpho import Annotation, annotate_text, normalized_words
+from .morpho import Annotation, annotate_text, match_counts, normalized_words
 
 DEFAULT_CHUNK_LINES = 5000
 
@@ -248,14 +248,14 @@ def week_index(label: str) -> int:
 def fold_usage(
     posts: Iterable[Post], lexicon: Lexicon, cache: dict, key: Callable[[Post], Hashable]
 ) -> dict:
-    """Sum [posts, tokens, matched] per key(post), annotating through cache."""
+    """Sum [posts, tokens, matched] per key(post), counting through cache."""
     usage: dict = {}
     for post in posts:
         cell = usage.setdefault(key(post), [0, 0, 0])
-        ann = annotate_text(post.id, post.text, lexicon, cache)
+        tokens, matched = match_counts(post.text, lexicon, cache)
         cell[0] += 1
-        cell[1] += ann.token_count
-        cell[2] += ann.matched_count
+        cell[1] += tokens
+        cell[2] += matched
     return usage
 
 
@@ -277,7 +277,7 @@ class _ScanState:
 _state: _ScanState | None = None
 
 
-def _init_worker(state: _ScanState) -> None:
+def _init_worker(state: _ScanState | None) -> None:
     global _state
     _state = state
 
@@ -331,11 +331,17 @@ def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str | bytes]]]
 
 def _run_chunks(chunks: Iterator, chunk_fn, state: _ScanState, workers: int) -> Iterator[tuple]:
     if workers <= 1:
-        for chunk in chunks:
-            # rebound per chunk: another scan in this process may have run
-            # since, and its state must not leak into this one
-            _init_worker(state)
-            yield chunk_fn(chunk)
+        try:
+            for chunk in chunks:
+                # rebound per chunk: another scan in this process may have
+                # run since, and its state must not leak into this one
+                _init_worker(state)
+                yield chunk_fn(chunk)
+        finally:
+            # the scan's lexicon and parse cache go with it, unless another
+            # scan has bound its own state since
+            if _state is state:
+                _init_worker(None)
         return
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(state,)

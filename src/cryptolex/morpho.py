@@ -25,6 +25,9 @@ VOWELS = frozenset("aeiou")
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 _RUN3 = re.compile(r"([^\W\d_])\1\1+", re.UNICODE)
 _RUN2 = re.compile(r"([^\W\d_])\1+", re.UNICODE)
+# any character three times running: every _RUN3 match is one, and this
+# search is about four times faster, so most texts skip _RUN3's search
+_REPEAT3 = re.compile(r"(.)\1\1", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -258,6 +261,17 @@ def _affix_splits(
     return parses
 
 
+def _best_parse(
+    key: tuple[str, bool], lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
+) -> Parse | None:
+    """The parse-cache miss path: decompose key's token, store its best
+    parse (None when nothing parses) and return it."""
+    normalized, elongated = key
+    parses = decompose(normalized, lexicon, elongated=elongated)
+    best = cache[key] = parses[0] if parses else None
+    return best
+
+
 def annotate_text(
     post_id: str,
     text: str,
@@ -266,17 +280,13 @@ def annotate_text(
 ) -> Annotation:
     """Annotate raw text; cache maps (normalized, elongated) to best parse
     and is only worth passing when looping over a corpus."""
+    if cache is None:
+        cache = {}
     tokens = tokenize(text)
     spans = []
     for tok in tokens:
         key = (tok.normalized, tok.elongated)
-        if cache is not None and key in cache:
-            best = cache[key]
-        else:
-            parses = decompose(tok.normalized, lexicon, elongated=tok.elongated)
-            best = parses[0] if parses else None
-            if cache is not None:
-                cache[key] = best
+        best = cache[key] if key in cache else _best_parse(key, lexicon, cache)
         if best is None:
             continue
         categories = frozenset(
@@ -284,6 +294,35 @@ def annotate_text(
         )
         spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
     return Annotation(post_id, tuple(spans), len(tokens), len(spans))
+
+
+def match_counts(
+    text: str, lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
+) -> tuple[int, int]:
+    """The counting view of annotate_text: (token_count, matched_count),
+    without a Token or Span per word, through the same parse cache.
+
+    Words come from the whole lowercased text, as in normalized_words, with
+    the same fallback for U+0130 and U+03A3. Collapsing a letter run never
+    moves a word boundary, so the lowered and collapsed word lists align
+    index for index and give each word's (normalized, elongated) key.
+    """
+    if "İ" in text or "Σ" in text:
+        ann = annotate_text("", text, lexicon, cache)
+        return ann.token_count, ann.matched_count
+    lowered = text.lower()
+    words = _WORD.findall(lowered)
+    if _REPEAT3.search(lowered) is None or _RUN3.search(lowered) is None:
+        keys = [(word, False) for word in words]
+    else:
+        collapsed = _WORD.findall(_RUN3.sub(r"\1\1", lowered))
+        keys = [(norm, norm != word) for norm, word in zip(collapsed, words)]
+    matched = 0
+    for key in keys:
+        best = cache[key] if key in cache else _best_parse(key, lexicon, cache)
+        if best is not None:
+            matched += 1
+    return len(keys), matched
 
 
 def annotate(post, lexicon: Lexicon) -> Annotation:

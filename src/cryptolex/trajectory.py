@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from io import StringIO
+from itertools import accumulate
 from typing import Iterable
 
 import csv
@@ -51,13 +52,16 @@ class GapReport:
     gaps: tuple[Gap, ...]
 
 
+def _rate(matched: int, tokens: int) -> float:
+    return matched / tokens if tokens > 0 else 0.0
+
+
 def series_from_counts(user: str, week_counts: dict[str, tuple[int, int, int]]) -> UsageSeries:
     """Build a series from {iso_week: (posts, tokens, matched)} aggregates."""
     buckets = []
     for week in sorted(week_counts):
         n_posts, n_tokens, n_matched = week_counts[week]
-        rate = n_matched / n_tokens if n_tokens > 0 else 0.0
-        buckets.append(WeekBucket(week, n_posts, n_tokens, n_matched, rate))
+        buckets.append(WeekBucket(week, n_posts, n_tokens, n_matched, _rate(n_matched, n_tokens)))
     return UsageSeries(user=user, buckets=tuple(buckets))
 
 
@@ -83,34 +87,30 @@ def usage_series(posts: Iterable[Post], lexicon: Lexicon, user: str | None = Non
     return series_from_counts(series_user or "", week_counts)
 
 
-def _weighted_rate(buckets: Iterable[WeekBucket]) -> float:
-    tokens = 0
-    matched = 0
-    for b in buckets:
-        tokens += b.tokens
-        matched += b.matched
-    return matched / tokens if tokens > 0 else 0.0
-
-
 def detect_gaps(series: UsageSeries, min_gap_weeks: int = 4) -> GapReport:
     """Find runs of at least min_gap_weeks absent weeks between active weeks.
 
     pre_rate and post_rate are token-weighted means over every active week
-    strictly before and after the gap, not just the adjacent ones.
+    strictly before and after the gap, not just the adjacent ones. They
+    come from integer prefix sums, so each is one division, as exact as
+    summing the weeks afresh.
     """
     if min_gap_weeks < 1:
         raise ValueError("min_gap_weeks must be >= 1")
     buckets = series.buckets
+    weeks = [week_index(b.iso_week) for b in buckets]
+    tokens = list(accumulate((b.tokens for b in buckets), initial=0))
+    matched = list(accumulate((b.matched for b in buckets), initial=0))
     gaps = []
-    for i in range(len(buckets) - 1):
-        absent = week_index(buckets[i + 1].iso_week) - week_index(buckets[i].iso_week) - 1
+    for i in range(1, len(buckets)):
+        absent = weeks[i] - weeks[i - 1] - 1
         if absent >= min_gap_weeks:
-            pre = _weighted_rate(buckets[: i + 1])
-            post = _weighted_rate(buckets[i + 1 :])
+            pre = _rate(matched[i], tokens[i])
+            post = _rate(matched[-1] - matched[i], tokens[-1] - tokens[i])
             gaps.append(
                 Gap(
-                    last_active_week=buckets[i].iso_week,
-                    next_active_week=buckets[i + 1].iso_week,
+                    last_active_week=buckets[i - 1].iso_week,
+                    next_active_week=buckets[i].iso_week,
                     gap_weeks=absent,
                     pre_rate=pre,
                     post_rate=post,

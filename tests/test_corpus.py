@@ -25,6 +25,7 @@ from cryptolex import (
     scan_usage,
     week_index,
 )
+from cryptolex import corpus
 
 from conftest import make_post, week_ts, write_jsonl
 
@@ -321,6 +322,15 @@ class TestShardedScans:
         assert [first.matched_count] + [a.matched_count for a in seeded] == expected
         assert sum(expected) > 0
         assert sum(a.matched_count for a in empty) == 0
+
+    def test_in_process_scan_frees_its_state(self, seed_lexicon):
+        text = jline(GOOD) + "\n" + jline({**GOOD, "id": "p2", "text": "wristcel"}) + "\n"
+        assert scan_usage(text, seed_lexicon, chunk_lines=1) == {("u1", "2020-W01"): (2, 2, 1)}
+        assert corpus._state is None
+        annotations = scan_annotations(text, seed_lexicon, chunk_lines=1)
+        assert next(annotations).post_id == "p1"
+        annotations.close()
+        assert corpus._state is None
 
 
 MALFORMED = ["", "  ", "broken", "{", jline({"id": "x"}), jline([1]), jline({**GOOD, "created_utc": -1})]

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
+    LexiconEntry,
     annotate,
     annotate_text,
+    build_lexicon,
     decompose,
     normalize_token,
     normalized_words,
@@ -16,7 +18,8 @@ from cryptolex import (
     strip_inflection,
     tokenize,
 )
-from cryptolex.morpho import _WORD
+from cryptolex import morpho
+from cryptolex.morpho import _WORD, match_counts
 
 
 class TestNormalize:
@@ -241,3 +244,64 @@ class TestAnnotate:
         ann = annotate_text("p1", text, seed_lexicon)
         (span,) = ann.spans
         assert text[span.start : span.end] == span.term == "normieeeee"
+
+
+# Text biased toward the seed lexicon, with the characters where a
+# whole-text view could part from tokenize: İ and Σ (the fallback), ſ and
+# ß/ẞ (case mappings that stay one character), a combining dot, "_",
+# digits, and repeated characters that make letter runs of 3 or more.
+LEXICON_CHARS = list("celmogfuxwristyajbwhdnpqvCELMOGİΣσςſßẞ\u0307_07 '")
+CODED_WORDS = ["wristcel", "Incel", "incelllll", "NORMIE", "mogging", "currycel", "jbw", "cope"]
+biased_text = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(LEXICON_CHARS), st.integers(1, 5)).map(lambda cn: cn[0] * cn[1]),
+        st.sampled_from(CODED_WORDS),
+    ),
+    max_size=20,
+).map("".join)
+
+SHARED_CACHE: dict = {}  # one cache across examples, as a scan shares one
+
+
+def annotated_counts(text, lexicon):
+    ann = annotate_text("p", text, lexicon)  # a fresh cache of its own
+    return ann.token_count, ann.matched_count
+
+
+class TestMatchCounts:
+    """The counting view of annotation must equal annotate_text's counts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), biased_text))
+    def test_matches_annotate_text(self, seed_lexicon, text):
+        expected = annotated_counts(text, seed_lexicon)
+        assert match_counts(text, seed_lexicon, {}) == expected
+        assert match_counts(text, seed_lexicon, SHARED_CACHE) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["ΑΣ'Β", "İx", "Incelllll", "sooo_xx", "ſ ß ẞ wristcel", "cope... 111 mogggg"]
+    )
+    def test_pinned_cases(self, seed_lexicon, text):
+        assert match_counts(text, seed_lexicon, {}) == annotated_counts(text, seed_lexicon)
+
+    def test_final_sigma_by_token(self):
+        # tokenize lowercases "ΑΣ" alone, to the lexicon's "ας"; the whole
+        # text lowercases it to "ασ", since the final-sigma rule looks past
+        # the apostrophe to the letter Β
+        lexicon = build_lexicon(
+            [LexiconEntry(surface="ας", kind="root", categories=frozenset({"racist"}))]
+        )
+        assert match_counts("ΑΣ'Β", lexicon, {}) == annotated_counts("ΑΣ'Β", lexicon) == (2, 1)
+
+    def test_shares_annotate_texts_cache(self, seed_lexicon, monkeypatch):
+        cache = {}
+        assert match_counts("wristcel sooo cope", seed_lexicon, cache) == (3, 1)
+        assert ("wristcel", False) in cache
+        assert ("soo", True) in cache
+
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decompose called on a cached key")
+
+        monkeypatch.setattr(morpho, "decompose", no_decompose)
+        ann = annotate_text("p", "wristcel sooo cope", seed_lexicon, cache)
+        assert (ann.token_count, ann.matched_count) == (3, 1)

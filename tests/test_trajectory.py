@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
+    Gap,
     GapReport,
     UsageSeries,
     WeekBucket,
@@ -13,6 +16,7 @@ from cryptolex import (
     parse_post_line,
     series_from_counts,
     usage_series,
+    week_index,
 )
 
 from conftest import make_post, week_ts
@@ -117,6 +121,48 @@ class TestGaps:
     def test_min_gap_validated(self):
         with pytest.raises(ValueError):
             detect_gaps(weeks({}), min_gap_weeks=0)
+
+
+def naive_gaps(series, min_gap_weeks):
+    """detect_gaps by the definition: re-sum every week before and after
+    each gap."""
+
+    def weighted_rate(buckets):
+        tokens = sum(b.tokens for b in buckets)
+        matched = sum(b.matched for b in buckets)
+        return matched / tokens if tokens > 0 else 0.0
+
+    buckets = series.buckets
+    gaps = []
+    for i in range(len(buckets) - 1):
+        absent = week_index(buckets[i + 1].iso_week) - week_index(buckets[i].iso_week) - 1
+        if absent >= min_gap_weeks:
+            pre = weighted_rate(buckets[: i + 1])
+            post = weighted_rate(buckets[i + 1 :])
+            escalation = post / pre if pre > 0 else None
+            gaps.append(
+                Gap(buckets[i].iso_week, buckets[i + 1].iso_week, absent, pre, post, escalation)
+            )
+    return GapReport(series.user, tuple(gaps))
+
+
+# (weeks since the previous active week, tokens, matched) per active week
+active_weeks = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(active_weeks, st.integers(1, 8))
+def test_gaps_match_naive_reference(steps, min_gap_weeks):
+    monday = date(2019, 12, 2)  # the series crosses the 53-week year 2020
+    week_counts = {}
+    for step, tokens, matched in steps:
+        monday += timedelta(weeks=step)
+        year, week, _ = monday.isocalendar()
+        week_counts[f"{year:04d}-W{week:02d}"] = (1, tokens, min(matched, tokens))
+    series = series_from_counts("u1", week_counts)
+    assert detect_gaps(series, min_gap_weeks) == naive_gaps(series, min_gap_weeks)
 
 
 class TestExport:
