@@ -24,7 +24,8 @@ AFFIX_KINDS = ("prefix", "suffix")
 EXACT_KINDS = ("root", "standalone", "lexicalized_blend")
 CATEGORIES = ("dehumanizing", "racist", "misogynistic")
 
-_RUN3 = re.compile(r"(.)\1\1")
+# a letter three or more times running; token normalization collapses it to two
+LETTER_RUN3 = re.compile(r"([^\W\d_])\1\1+")
 
 
 class LexiconFormatError(ValueError):
@@ -85,7 +86,7 @@ def _check_surface_form(form: str, what: str) -> None:
         raise LexiconFormatError(f"{what}: {form!r} must contain only letters and digits")
     if form != form.lower():
         raise LexiconFormatError(f"{what}: {form!r} must be lowercase")
-    if _RUN3.search(form):
+    if LETTER_RUN3.search(form):
         raise LexiconFormatError(f"{what}: {form!r} contains a letter run longer than two")
 
 
@@ -223,7 +224,8 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
         text = source.read_text(encoding="utf-8")
     else:
         text = source
-    return build_lexicon(parse_lexicon_lines(text.splitlines()), blocklist)
+    # "\n" only: splitlines would break a record at a raw U+2028 and the like
+    return build_lexicon(parse_lexicon_lines(text.split("\n")), blocklist)
 
 
 def load_blocklist(source: str | Path) -> frozenset[str]:
@@ -356,7 +358,8 @@ def export_tsv(lexicon: Lexicon) -> str:
 
 def lexicon_from_tsv(text: str, blocklist: frozenset[str] = frozenset()) -> Lexicon:
     """Rebuild a Lexicon from export_tsv output (source comes back empty)."""
-    lines = [ln for ln in text.splitlines() if ln]
+    # "\n" only: splitlines would break a row at a \x0c or U+2028 _tsv_safe keeps
+    lines = [ln for ln in (raw.removesuffix("\r") for raw in text.split("\n")) if ln]
     if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
         raise LexiconFormatError("missing or mangled TSV header")
     entries = []

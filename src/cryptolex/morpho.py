@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .lexicon import EXACT_KINDS, Lexicon, LexiconEntry
+from .lexicon import EXACT_KINDS, LETTER_RUN3, Lexicon, LexiconEntry
 
 # Inflectional endings recognized when stripping (checked against the token
 # end; listed here longest first for readability, order does not matter).
@@ -23,10 +23,9 @@ MIN_BASE = 3  # shortest base left behind by inflection stripping
 VOWELS = frozenset("aeiou")
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
-_RUN3 = re.compile(r"([^\W\d_])\1\1+", re.UNICODE)
 _RUN2 = re.compile(r"([^\W\d_])\1+", re.UNICODE)
-# any character three times running: every _RUN3 match is one, and this
-# search is about four times faster, so most texts skip _RUN3's search
+# any character three times running: every LETTER_RUN3 match is one, and this
+# search is about four times faster, so most texts skip LETTER_RUN3's search
 _REPEAT3 = re.compile(r"(.)\1\1", re.DOTALL)
 
 
@@ -82,7 +81,7 @@ class Annotation:
 def normalize_token(raw: str) -> tuple[str, bool]:
     """Lowercase and collapse letter runs of three or more down to two."""
     lowered = raw.lower()
-    collapsed = _RUN3.sub(r"\1\1", lowered)
+    collapsed = LETTER_RUN3.sub(r"\1\1", lowered)
     return collapsed, collapsed != lowered
 
 
@@ -95,19 +94,32 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def normalized_words(text: str) -> list[str]:
-    """The counting view of tokenize: [t.normalized for t in tokenize(text)],
-    without offsets or a Token per word.
+def _words(text: str) -> tuple[list[str], list[str]]:
+    """The one word reader: for tokens = tokenize(text), the lists
+    [t.raw.lower() for t in tokens] and [t.normalized for t in tokens],
+    read from the whole text without a Token per word.
 
-    Lowercasing the whole text agrees with tokenize's per-token lowercasing
-    for every code point but two, which fall back to tokenize: U+0130 (İ)
-    lowercases to two characters, the second not a word character, and
-    U+03A3 (Σ) lowercases by context (final sigma), which a whole text can
-    carry across a token boundary.
+    Lowercasing a whole text keeps each code point's length and word and
+    letter status, so its words are tokenize's, but for two code points
+    that fall back to tokenize: U+0130 (İ) lowercases to two characters,
+    the second not a word character, and U+03A3 (Σ) lowercases by context
+    (final sigma), which a whole text carries across a token boundary.
+    Collapsing a letter run never moves a word boundary, so the two lists
+    align index for index.
     """
     if "İ" in text or "Σ" in text:
-        return [t.normalized for t in tokenize(text)]
-    return _WORD.findall(_RUN3.sub(r"\1\1", text.lower()))
+        tokens = tokenize(text)
+        return [t.raw.lower() for t in tokens], [t.normalized for t in tokens]
+    lowered = text.lower()
+    words = _WORD.findall(lowered)
+    if _REPEAT3.search(lowered) is None or LETTER_RUN3.search(lowered) is None:
+        return words, words
+    return words, _WORD.findall(LETTER_RUN3.sub(r"\1\1", lowered))
+
+
+def normalized_words(text: str) -> list[str]:
+    """The counting view of tokenize: [t.normalized for t in tokenize(text)]."""
+    return _words(text)[1]
 
 
 def _ends_doubled_consonant(base: str) -> bool:
@@ -261,15 +273,23 @@ def _affix_splits(
     return parses
 
 
-def _best_parse(
-    key: tuple[str, bool], lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
-) -> Parse | None:
-    """The parse-cache miss path: decompose key's token, store its best
-    parse (None when nothing parses) and return it."""
-    normalized, elongated = key
-    parses = decompose(normalized, lexicon, elongated=elongated)
-    best = cache[key] = parses[0] if parses else None
-    return best
+def _best_parses(
+    text: str, lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
+) -> list[Parse | None]:
+    """Each word's best parse in text order, None where nothing parses.
+    cache maps a word's (normalized, elongated) key to its best parse; a
+    miss decomposes the word and stores the result."""
+    words, norms = _words(text)
+    bests = []
+    for word, norm in zip(words, norms):
+        key = (norm, norm != word)
+        try:
+            best = cache[key]
+        except KeyError:
+            parses = decompose(norm, lexicon, elongated=key[1])
+            best = cache[key] = parses[0] if parses else None
+        bests.append(best)
+    return bests
 
 
 def annotate_text(
@@ -280,49 +300,25 @@ def annotate_text(
 ) -> Annotation:
     """Annotate raw text; cache maps (normalized, elongated) to best parse
     and is only worth passing when looping over a corpus."""
-    if cache is None:
-        cache = {}
-    tokens = tokenize(text)
+    bests = _best_parses(text, lexicon, {} if cache is None else cache)
     spans = []
-    for tok in tokens:
-        key = (tok.normalized, tok.elongated)
-        best = cache[key] if key in cache else _best_parse(key, lexicon, cache)
+    for m, best in zip(_WORD.finditer(text), bests, strict=True):
         if best is None:
             continue
         categories = frozenset(
             c for seg in best.segments if seg.entry for c in seg.entry.categories
         )
-        spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
-    return Annotation(post_id, tuple(spans), len(tokens), len(spans))
+        spans.append(Span(m.start(), m.end(), m.group(), categories, best))
+    return Annotation(post_id, tuple(spans), len(bests), len(spans))
 
 
 def match_counts(
     text: str, lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
 ) -> tuple[int, int]:
     """The counting view of annotate_text: (token_count, matched_count),
-    without a Token or Span per word, through the same parse cache.
-
-    Words come from the whole lowercased text, as in normalized_words, with
-    the same fallback for U+0130 and U+03A3. Collapsing a letter run never
-    moves a word boundary, so the lowered and collapsed word lists align
-    index for index and give each word's (normalized, elongated) key.
-    """
-    if "İ" in text or "Σ" in text:
-        ann = annotate_text("", text, lexicon, cache)
-        return ann.token_count, ann.matched_count
-    lowered = text.lower()
-    words = _WORD.findall(lowered)
-    if _REPEAT3.search(lowered) is None or _RUN3.search(lowered) is None:
-        keys = [(word, False) for word in words]
-    else:
-        collapsed = _WORD.findall(_RUN3.sub(r"\1\1", lowered))
-        keys = [(norm, norm != word) for norm, word in zip(collapsed, words)]
-    matched = 0
-    for key in keys:
-        best = cache[key] if key in cache else _best_parse(key, lexicon, cache)
-        if best is not None:
-            matched += 1
-    return len(keys), matched
+    without a Span per match, through the same parse cache."""
+    bests = _best_parses(text, lexicon, cache)
+    return len(bests), len(bests) - bests.count(None)
 
 
 def annotate(post, lexicon: Lexicon) -> Annotation:

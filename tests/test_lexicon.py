@@ -10,6 +10,7 @@ from cryptolex import (
     KINDS,
     LexiconEntry,
     LexiconFormatError,
+    annotate_text,
     build_lexicon,
     category_stats,
     entries_to_jsonl,
@@ -19,6 +20,12 @@ from cryptolex import (
     load_lexicon,
     validate,
 )
+from cryptolex.lexicon import _tsv_safe
+
+
+# definitions mixing in every character str.splitlines breaks a line on
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+definitions = st.text() | st.text(alphabet=LINE_BREAKS + "a\t ")
 
 
 def entry(surface, kind="root", **kw):
@@ -44,6 +51,15 @@ class TestEntryValidation:
 
     def test_digits_allowed(self):
         assert entry("chad2").surface == "chad2"
+
+    def test_letter_run_rule_matches_normalization(self):
+        # normalization keeps digit runs and collapses letter runs of three,
+        # so a digit run is a valid form and a letter run is not
+        lex = build_lexicon([entry("x1000")])
+        ann = annotate_text("p", "X1000 x100", lex)
+        assert [span.term for span in ann.spans] == ["X1000"]
+        with pytest.raises(ValueError, match="letter run"):
+            entry("incelll")
 
     @pytest.mark.parametrize("kind", ["root", "standalone", "lexicalized_blend"])
     def test_productive_requires_affix_kind(self, kind):
@@ -211,12 +227,33 @@ class TestSerialization:
     surface=st.from_regex(r"[a-z]{1,6}[0-9]{0,2}", fullmatch=True),
     kind=st.sampled_from(KINDS),
     cats=st.sets(st.sampled_from(CATEGORIES)),
+    definition=definitions,
 )
-def test_jsonl_round_trip_property(surface, kind, cats):
-    """Any valid entry survives serialization unchanged."""
+def test_jsonl_round_trip_property(surface, kind, cats, definition):
+    """Any valid entry survives serialization unchanged, whatever line
+    separators its definition holds."""
     try:
-        e = LexiconEntry(surface=surface, kind=kind, categories=frozenset(cats))
+        e = LexiconEntry(
+            surface=surface, kind=kind, definition=definition, categories=frozenset(cats)
+        )
     except ValueError:
         return  # triple letter runs are rejected at construction
     back = load_lexicon(entries_to_jsonl([e]))
     assert back.entries == (e,)
+
+
+def test_jsonl_file_keeps_unicode_line_separators(tmp_path):
+    e = entry("incel", definition="a\u2028b\x85c\x0cd")
+    path = tmp_path / "lexicon.jsonl"
+    path.write_text(entries_to_jsonl([e]), encoding="utf-8")
+    assert load_lexicon(path).entries == (e,)
+
+
+@given(st.lists(definitions, min_size=1, max_size=4))
+def test_tsv_round_trip_any_definition(texts):
+    """Each definition comes back sanitized, from LF and from CRLF files."""
+    lex = build_lexicon([entry(f"w{i}", definition=d) for i, d in enumerate(texts)])
+    text = export_tsv(lex)
+    for sheet in (text, text.replace("\n", "\r\n")):
+        back = lexicon_from_tsv(sheet)
+        assert [e.definition for e in back.entries] == [_tsv_safe(d) for d in texts]

@@ -19,7 +19,7 @@ from cryptolex import (
     tokenize,
 )
 from cryptolex import morpho
-from cryptolex.morpho import _WORD, match_counts
+from cryptolex.morpho import _WORD, Annotation, Span, match_counts
 
 
 class TestNormalize:
@@ -89,7 +89,7 @@ class TestNormalizedWords:
         # U+0130 lowercases to one character of the same word and letter
         # status, so token boundaries and letter runs are unchanged. A new
         # Python or Unicode version that breaks this fails here.
-        letter = re.compile(r"[^\W\d_]")  # the run class of _RUN3
+        letter = re.compile(r"[^\W\d_]")  # the run class of LETTER_RUN3
         broken = []
         for cp in range(sys.maxunicode + 1):
             if 0xD800 <= cp <= 0xDFFF or cp == 0x130:
@@ -260,29 +260,59 @@ biased_text = st.lists(
     max_size=20,
 ).map("".join)
 
+# Short texts over the characters whose lowercase depends on context (Σ)
+# or grows (İ), so that each guard of the word reader is met often.
+casing_text = st.text(alphabet="ΑΒΣσςİIı'\u0307 _x", max_size=12)
+
 SHARED_CACHE: dict = {}  # one cache across examples, as a scan shares one
 
 
-def annotated_counts(text, lexicon):
-    ann = annotate_text("p", text, lexicon)  # a fresh cache of its own
-    return ann.token_count, ann.matched_count
+def reference_annotation(text, lexicon):
+    """annotate_text built only from the reference tokenize and decompose:
+    one Token per word and no parse cache."""
+    tokens = tokenize(text)
+    spans = []
+    for tok in tokens:
+        parses = decompose(tok.normalized, lexicon, elongated=tok.elongated)
+        if parses:
+            best = parses[0]
+            categories = frozenset(
+                c for seg in best.segments if seg.entry for c in seg.entry.categories
+            )
+            spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
+    return Annotation("p", tuple(spans), len(tokens), len(spans))
+
+
+def assert_views_match_reference(text, lexicon, shared=SHARED_CACHE):
+    """Check both views with a fresh cache and with shared, a cache the
+    caller keeps for one lexicon; return the reference counts."""
+    expected = reference_annotation(text, lexicon)
+    counts = (expected.token_count, expected.matched_count)
+    tokens = tokenize(text)
+    assert morpho._words(text) == (
+        [t.raw.lower() for t in tokens],
+        [t.normalized for t in tokens],
+    )
+    for cache in ({}, shared):
+        assert annotate_text("p", text, lexicon, cache) == expected
+        assert match_counts(text, lexicon, cache) == counts
+    return counts
 
 
 class TestMatchCounts:
-    """The counting view of annotation must equal annotate_text's counts."""
+    """annotate_text and match_counts read words through one whole-text
+    reader, _words; each must equal the reference built from tokenize."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(st.text(), biased_text))
-    def test_matches_annotate_text(self, seed_lexicon, text):
-        expected = annotated_counts(text, seed_lexicon)
-        assert match_counts(text, seed_lexicon, {}) == expected
-        assert match_counts(text, seed_lexicon, SHARED_CACHE) == expected
+    @given(st.one_of(st.text(), biased_text, casing_text))
+    def test_matches_reference(self, seed_lexicon, text):
+        assert_views_match_reference(text, seed_lexicon)
 
     @pytest.mark.parametrize(
         "text", ["ΑΣ'Β", "İx", "Incelllll", "sooo_xx", "ſ ß ẞ wristcel", "cope... 111 mogggg"]
     )
     def test_pinned_cases(self, seed_lexicon, text):
-        assert match_counts(text, seed_lexicon, {}) == annotated_counts(text, seed_lexicon)
+        assert_views_match_reference(text, seed_lexicon)
 
     def test_final_sigma_by_token(self):
         # tokenize lowercases "ΑΣ" alone, to the lexicon's "ας"; the whole
@@ -291,7 +321,7 @@ class TestMatchCounts:
         lexicon = build_lexicon(
             [LexiconEntry(surface="ας", kind="root", categories=frozenset({"racist"}))]
         )
-        assert match_counts("ΑΣ'Β", lexicon, {}) == annotated_counts("ΑΣ'Β", lexicon) == (2, 1)
+        assert assert_views_match_reference("ΑΣ'Β", lexicon, shared={}) == (2, 1)
 
     def test_shares_annotate_texts_cache(self, seed_lexicon, monkeypatch):
         cache = {}
