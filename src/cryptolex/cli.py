@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -18,7 +17,7 @@ from .corpus import (
     PostFormatError,
     ReadReport,
     scan_affix_table,
-    scan_annotations,
+    scan_annotation_lines,
     scan_frequency_table,
     scan_usage,
 )
@@ -42,7 +41,7 @@ from .lexicon import (
     seed_lexicon_text,
     validate,
 )
-from .morpho import Annotation, annotate_text
+from .morpho import annotate_text, annotation_json
 from .trajectory import detect_gaps, export_series, series_from_counts
 
 BANNER = (
@@ -117,34 +116,8 @@ def _report_skips(report: ReadReport) -> None:
         print(f"skipped {report.skipped} malformed lines{detail}", file=sys.stderr)
 
 
-def _span_payload(ann: Annotation) -> str:
-    spans = []
-    for span in ann.spans:
-        spans.append(
-            {
-                "start": span.start,
-                "end": span.end,
-                "term": span.term,
-                "categories": sorted(span.categories),
-                "segments": [
-                    {
-                        "slice": seg.slice,
-                        "role": seg.role,
-                        "entry": seg.entry.surface if seg.entry else None,
-                    }
-                    for seg in span.parse.segments
-                ],
-            }
-        )
-    return json.dumps(
-        {
-            "id": ann.post_id,
-            "spans": spans,
-            "token_count": ann.token_count,
-            "matched_count": ann.matched_count,
-        },
-        ensure_ascii=False,
-    )
+# perfbench/tracing.py wraps the renderer by this name
+_span_payload = annotation_json
 
 
 def run_lexicon(args) -> int:
@@ -184,7 +157,7 @@ def run_annotate(args) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
         ann = annotate_text("plain", text, lexicon)
         with _open_output(args.output) as out:
-            out.write(_span_payload(ann) + "\n")
+            out.write(annotation_json(ann) + "\n")
         posts, tokens, matched = 1, ann.token_count, ann.matched_count
         terms = list(dict.fromkeys(span.term for span in ann.spans))
         if terms:
@@ -193,17 +166,17 @@ def run_annotate(args) -> int:
         report = ReadReport()
         strictness = "strict" if args.strict else "skip"
         with _open_output(args.output) as out:
-            for ann in scan_annotations(
+            for text, n_posts, n_tokens, n_matched in scan_annotation_lines(
                 Path(args.input),
                 lexicon,
                 workers=args.workers,
                 strictness=strictness,
                 report=report,
             ):
-                out.write(_span_payload(ann) + "\n")
-                posts += 1
-                tokens += ann.token_count
-                matched += ann.matched_count
+                out.write(text)
+                posts += n_posts
+                tokens += n_tokens
+                matched += n_matched
         _report_skips(report)
     rate = matched / tokens if tokens else 0.0
     print(f"posts {posts} tokens {tokens} matched {matched} rate {rate:.6f}", file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .lexicon import AFFIX_KINDS, Lexicon
-from .morpho import Annotation, annotate_text, match_counts, normalized_words
+from .morpho import Annotation, annotate_text, annotation_json, match_counts, normalized_words
 
 DEFAULT_CHUNK_LINES = 5000
 
@@ -309,10 +309,29 @@ def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
     return fold_usage(posts, _state.lexicon, _state.cache, _user_week), report
 
 
-def _scan_annotate_chunk(chunk) -> tuple[list[Annotation], ReadReport]:
+def _annotate_posts(chunk, report: ReadReport) -> Iterator[Annotation]:
+    """The one per-post annotate body of both annotation scans."""
+    for post in _chunk_posts(chunk, report):
+        yield annotate_text(post.id, post.text, _state.lexicon, _state.cache)
+
+
+def _scan_annotations_chunk(chunk) -> tuple[list[Annotation], ReadReport]:
     report = ReadReport()
-    posts = _chunk_posts(chunk, report)
-    return [annotate_text(p.id, p.text, _state.lexicon, _state.cache) for p in posts], report
+    return list(_annotate_posts(chunk, report)), report
+
+
+def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int, int], ReadReport]:
+    # rendered in the worker, so the parent only writes text: unpickling and
+    # rendering an Annotation per post kept the parent as busy as a worker.
+    # perfbench/tracing.py wraps this name and the module's annotate_text.
+    report = ReadReport()
+    lines = []
+    tokens = matched = 0
+    for ann in _annotate_posts(chunk, report):
+        lines.append(annotation_json(ann) + "\n")
+        tokens += ann.token_count
+        matched += ann.matched_count
+    return ("".join(lines), len(lines), tokens, matched), report
 
 
 def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str | bytes]]]:
@@ -450,6 +469,24 @@ def scan_annotations(
 ) -> Iterator[Annotation]:
     """Annotate a corpus, yielding annotations in input order."""
     for anns in _map_chunks(
-        source, _scan_annotate_chunk, lexicon, workers, strictness, chunk_lines, report
+        source, _scan_annotations_chunk, lexicon, workers, strictness, chunk_lines, report
     ):
         yield from anns
+
+
+def scan_annotation_lines(
+    source,
+    lexicon: Lexicon,
+    *,
+    workers: int = 1,
+    strictness: str = "skip",
+    report: ReadReport | None = None,
+    chunk_lines: int = DEFAULT_CHUNK_LINES,
+) -> Iterator[tuple[str, int, int, int]]:
+    """scan_annotations rendered, one item per chunk in input order: the
+    chunk's annotation_json lines, each ending in "\\n", and its post,
+    token and matched counts. Workers render, so the caller receives text
+    rather than an Annotation per post."""
+    return _map_chunks(
+        source, _scan_annotate_chunk, lexicon, workers, strictness, chunk_lines, report
+    )

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import FrequencyTable
-from .lexicon import LexiconEntry, parse_entry
+from .lexicon import LexiconEntry, parse_entry, split_lines
 
 
 class DiscoveryError(ValueError):
@@ -87,7 +87,7 @@ def filter_stoplist(rows: Iterable[LogRatioRow], stoplist: frozenset[str] | set[
 def load_stoplist(source: str | Path) -> frozenset[str]:
     """Plain text stoplist, one token per line."""
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
+    return frozenset(line.strip() for line in split_lines(text) if line.strip())
 
 
 RANKED_COLUMNS = ("token", "target_count", "background_count", "target_rank", "log_ratio")
@@ -144,8 +144,8 @@ def import_review_sheet(text: str) -> list[LexiconEntry]:
     Category columns take "x" (any case) or empty. Imported entries are
     standalone terms; promoting one to an affix is a manual lexicon edit.
     """
-    lines = text.splitlines()
-    if not lines or tuple(lines[0].split("\t")) != SHEET_COLUMNS:
+    lines = split_lines(text)
+    if tuple(lines[0].split("\t")) != SHEET_COLUMNS:
         raise DiscoveryError("missing or mangled review sheet header")
     entries = []
     for lineno, line in enumerate(lines[1:], start=2):

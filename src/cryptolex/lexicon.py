@@ -228,6 +228,13 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
     return build_lexicon(parse_lexicon_lines(text.split("\n")), blocklist)
 
 
+def split_lines(text: str) -> list[str]:
+    """Split on "\\n" only, dropping one trailing "\\r" per line, so LF and
+    CRLF files read alike; str.splitlines would also break a line at \\x0c,
+    \\x85, U+2028 and other characters a definition or word may hold."""
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
 def load_blocklist(source: str | Path) -> frozenset[str]:
     """Read a blocklist: one word per line, '#' comments and blanks ignored."""
     if isinstance(source, Path):
@@ -235,7 +242,7 @@ def load_blocklist(source: str | Path) -> frozenset[str]:
     else:
         text = source
     words = set()
-    for raw in text.splitlines():
+    for raw in split_lines(text):
         word = raw.split("#", 1)[0].strip().lower()
         if word:
             words.add(word)
@@ -358,12 +365,12 @@ def export_tsv(lexicon: Lexicon) -> str:
 
 def lexicon_from_tsv(text: str, blocklist: frozenset[str] = frozenset()) -> Lexicon:
     """Rebuild a Lexicon from export_tsv output (source comes back empty)."""
-    # "\n" only: splitlines would break a row at a \x0c or U+2028 _tsv_safe keeps
-    lines = [ln for ln in (raw.removesuffix("\r") for raw in text.split("\n")) if ln]
-    if not lines or tuple(lines[0].split("\t")) != TSV_COLUMNS:
+    # numbered before blank lines drop out, so errors name the physical line
+    rows = [(lineno, line) for lineno, line in enumerate(split_lines(text), start=1) if line]
+    if not rows or tuple(rows[0][1].split("\t")) != TSV_COLUMNS:
         raise LexiconFormatError("missing or mangled TSV header")
     entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows[1:]:
         cols = line.split("\t")
         if len(cols) != len(TSV_COLUMNS):
             raise LexiconFormatError(f"expected {len(TSV_COLUMNS)} columns", lineno)

@@ -9,6 +9,7 @@ stems under a productive affix last.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
@@ -321,6 +322,33 @@ def match_counts(
     return len(bests), len(bests) - bests.count(None)
 
 
-def annotate(post, lexicon: Lexicon) -> Annotation:
-    """Annotate a post (any object with id and text attributes)."""
-    return annotate_text(post.id, post.text, lexicon)
+def annotation_json(ann: Annotation) -> str:
+    """One JSON Lines record of an annotation, as `cryptolex annotate`
+    writes it: spans in text order, categories sorted, no trailing newline."""
+    spans = []
+    for span in ann.spans:
+        spans.append(
+            {
+                "start": span.start,
+                "end": span.end,
+                "term": span.term,
+                "categories": sorted(span.categories),
+                "segments": [
+                    {
+                        "slice": seg.slice,
+                        "role": seg.role,
+                        "entry": seg.entry.surface if seg.entry else None,
+                    }
+                    for seg in span.parse.segments
+                ],
+            }
+        )
+    return json.dumps(
+        {
+            "id": ann.post_id,
+            "spans": spans,
+            "token_count": ann.token_count,
+            "matched_count": ann.matched_count,
+        },
+        ensure_ascii=False,
+    )

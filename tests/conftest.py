@@ -5,8 +5,13 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from cryptolex import Lexicon, LexiconEntry, build_lexicon, load_seed_lexicon
+
+# definitions mixing in every character str.splitlines breaks a line on
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+definitions = st.text() | st.text(alphabet=LINE_BREAKS + "a\t ")
 
 
 def week_ts(year: int, week: int, day: int = 3, hour: int = 12) -> int:

@@ -141,6 +141,24 @@ class TestAnnotateCommand:
         assert main(["annotate", "--input", str(path), "--strict", "--workers", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_strict_error_in_second_chunk_after_first_chunk_written(
+        self, tmp_path, capsys, workers
+    ):
+        n = corpus_module.DEFAULT_CHUNK_LINES
+        lines = [
+            json.dumps(make_post(f"p{i}", "u", week_ts(2020, 1), "wristcel")) for i in range(n + 2)
+        ]
+        lines.insert(n + 1, "broken")  # line n + 2, in the second chunk
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["annotate", "--input", str(path), "--strict", "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert [json.loads(line)["id"] for line in captured.out.splitlines()] == [
+            f"p{i}" for i in range(n)
+        ]
+        assert captured.err == f"error: line {n + 2}: invalid JSON (Expecting value)\n"
+
 
 class TestDiscoverCommand:
     def test_tsv_output(self, corpus, background, capsys):

@@ -12,6 +12,7 @@ from cryptolex import (
     PostFormatError,
     ReadReport,
     annotate_text,
+    annotation_json,
     build_affix_table,
     build_frequency_table,
     build_lexicon,
@@ -26,6 +27,7 @@ from cryptolex import (
     week_index,
 )
 from cryptolex import corpus
+from cryptolex.corpus import scan_annotation_lines
 
 from conftest import make_post, week_ts, write_jsonl
 
@@ -337,13 +339,18 @@ MALFORMED = ["", "  ", "broken", "{", jline({"id": "x"}), jline([1]), jline({**G
 
 CODED_TEXTS = ["wristcel cope", "the gymcels lifts", "mogging sooo hard", "currycel mogg"]
 
+post_texts = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(CODED_TEXTS),
+    # İ and Σ take the tokenize path of the word reader
+    st.text(alphabet="İΣσςıI wristcelmog'_", max_size=30),
+)
+
 scan_lines = st.lists(
     st.one_of(
-        st.tuples(
-            st.sampled_from(["u1", "u2"]),
-            st.integers(1, 3),
-            st.one_of(st.text(max_size=30), st.sampled_from(CODED_TEXTS)),
-        ).map(lambda post: ("post", post)),
+        st.tuples(st.sampled_from(["u1", "u2"]), st.integers(1, 3), post_texts).map(
+            lambda post: ("post", post)
+        ),
         st.sampled_from(MALFORMED).map(lambda bad: ("bad", bad)),
     ),
     max_size=12,
@@ -361,11 +368,18 @@ def render_lines(items) -> str:
     return "".join(out)
 
 
+def rendered(parts) -> tuple[str, int, int, int]:
+    """scan_annotation_lines' chunk items, concatenated and summed."""
+    parts = list(parts)
+    return ("".join(p[0] for p in parts), *(sum(p[i] for p in parts) for i in (1, 2, 3)))
+
+
 SCANS = {
     "words": lambda source, lex, **kw: scan_frequency_table(source, **kw).canonical_json(),
     "affixes": lambda source, lex, **kw: scan_affix_table(source, lex, **kw).canonical_json(),
     "usage": lambda source, lex, **kw: scan_usage(source, lex, **kw),
     "annotations": lambda source, lex, **kw: list(scan_annotations(source, lex, **kw)),
+    "rendered": lambda source, lex, **kw: rendered(scan_annotation_lines(source, lex, **kw)),
 }
 
 
@@ -382,6 +396,12 @@ def reference_scans(posts, lexicon) -> dict:
         "affixes": build_affix_table(posts, lexicon).canonical_json(),
         "usage": usage,
         "annotations": anns,
+        "rendered": (
+            "".join(annotation_json(ann) + "\n" for ann in anns),
+            len(anns),
+            sum(ann.token_count for ann in anns),
+            sum(ann.matched_count for ann in anns),
+        ),
     }
 
 
@@ -396,6 +416,9 @@ def test_scan_invariant_to_source_workers_and_chunks(
     reference = ReadReport()
     expected = reference_scans(list(read_posts(text, report=reference)), seed_lexicon)
     bad = [i for i, (kind, _) in enumerate(items, start=1) if kind == "bad"]
+    if bad:
+        with pytest.raises(PostFormatError) as first_bad:
+            list(read_posts(text, "strict"))
     for make_source in (lambda: path, lambda: text, lambda: io.StringIO(text)):
         for workers in (1, 2):
             for name, scan in SCANS.items():
@@ -408,3 +431,4 @@ def test_scan_invariant_to_source_workers_and_chunks(
                     with pytest.raises(PostFormatError) as err:
                         scan(make_source(), seed_lexicon, strictness="strict", **kwargs)
                     assert err.value.line == bad[0], name
+                    assert str(err.value) == str(first_bad.value), name

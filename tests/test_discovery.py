@@ -18,6 +18,9 @@ from cryptolex import (
     rows_to_jsonl,
     rows_to_tsv,
 )
+from cryptolex.lexicon import _tsv_safe
+
+from conftest import definitions
 
 
 def table(counts, docs=1):
@@ -147,3 +150,31 @@ class TestExports:
     def test_review_sheet_header_checked(self):
         with pytest.raises(DiscoveryError):
             import_review_sheet("token\tstuff\n")
+
+    def test_review_sheet_keeps_unicode_line_separators(self):
+        lines = review_sheet(ROWS[:1]).splitlines()
+        lines[1] = lines[1].rstrip("\t") + "\tcell\u2028mate\t\t\t"
+        (imported,) = import_review_sheet("\n".join(lines) + "\n")
+        assert imported.definition == "cell\u2028mate"
+
+
+@given(st.lists(definitions, min_size=1, max_size=4))
+def test_review_sheet_any_definition(texts):
+    """Each row's definition comes back whole, from LF and from CRLF sheets,
+    whatever line separators other than "\\n" it holds."""
+    header, *rows = review_sheet(
+        [LogRatioRow(f"w{i}", 1, 0, i + 1, 1.0) for i in range(len(texts))]
+    ).splitlines()
+    filled = [row.rstrip("\t") + f"\t{_tsv_safe(t)}\t\t\t" for row, t in zip(rows, texts)]
+    text = "\n".join([header, *filled]) + "\n"
+    for sheet in (text, text.replace("\n", "\r\n")):
+        entries = import_review_sheet(sheet)
+        assert [e.definition for e in entries] == [_tsv_safe(t) for t in texts]
+
+
+@given(st.lists(definitions, max_size=4))
+def test_stoplist_lines_split_on_newline_only(texts):
+    words = [_tsv_safe(t) for t in texts]
+    text = "\n".join(words) + "\n"
+    for source in (text, text.replace("\n", "\r\n")):
+        assert load_stoplist(source) == {w.strip() for w in words} - {""}

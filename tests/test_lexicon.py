@@ -20,12 +20,9 @@ from cryptolex import (
     load_lexicon,
     validate,
 )
-from cryptolex.lexicon import _tsv_safe
+from cryptolex.lexicon import TSV_COLUMNS, _tsv_safe
 
-
-# definitions mixing in every character str.splitlines breaks a line on
-LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-definitions = st.text() | st.text(alphabet=LINE_BREAKS + "a\t ")
+from conftest import definitions
 
 
 def entry(surface, kind="root", **kw):
@@ -153,6 +150,20 @@ class TestBlocklist:
         p.write_text("parcel\n", encoding="utf-8")
         assert load_blocklist(p) == frozenset({"parcel"})
 
+    def test_unicode_line_separator_is_not_a_line_break(self):
+        assert load_blocklist("cell\u2028mate\r\n") == frozenset({"cell\u2028mate"})
+
+
+@given(st.lists(definitions, max_size=4))
+def test_blocklist_lines_split_on_newline_only(texts):
+    """One word per "\\n"-separated line, from LF and from CRLF files,
+    whatever other line separators a word holds."""
+    words = [_tsv_safe(t) for t in texts]
+    expected = {w.split("#", 1)[0].strip().lower() for w in words} - {""}
+    text = "\n".join(words) + "\n"
+    for source in (text, text.replace("\n", "\r\n")):
+        assert load_blocklist(source) == expected
+
 
 class TestValidate:
     def test_seed_is_clean(self, seed_lexicon):
@@ -212,6 +223,12 @@ class TestSerialization:
         row = text.splitlines()[1]
         assert row.count("\t") == 5
         assert lexicon_from_tsv(text).lookup("foo").definition == "line one line two"
+
+    def test_tsv_error_names_physical_line(self):
+        text = "\t".join(TSV_COLUMNS) + "\n\nfoo\tinfix\tfalse\t\t\t\n"
+        with pytest.raises(LexiconFormatError, match="^line 3: unknown kind") as exc:
+            lexicon_from_tsv(text)
+        assert exc.value.line == 3
 
     def test_tsv_header_checked(self):
         with pytest.raises(LexiconFormatError):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
     LexiconEntry,
-    annotate,
     annotate_text,
     build_lexicon,
     decompose,
@@ -230,12 +229,8 @@ class TestAnnotate:
         ann = annotate_text("b", "wristcel", seed_lexicon, cache=cache)
         assert ann.matched_count == 1
 
-    def test_annotate_accepts_post_like_objects(self, seed_lexicon):
-        class Msg:
-            id = "m1"
-            text = "ricecel"
-
-        ann = annotate(Msg(), seed_lexicon)
+    def test_annotation_carries_post_id(self, seed_lexicon):
+        ann = annotate_text("m1", "ricecel", seed_lexicon)
         assert ann.post_id == "m1"
         assert ann.matched_count == 1
 
