@@ -223,10 +223,15 @@ def run_trajectory(args) -> int:
     strictness = "strict" if args.strict else "skip"
     report = ReadReport()
     usage = scan_usage(
-        Path(args.input), lexicon, workers=args.workers, strictness=strictness, report=report
+        Path(args.input),
+        lexicon,
+        workers=args.workers,
+        strictness=strictness,
+        report=report,
+        user=args.user,
     )
     _report_skips(report)
-    if not usage:
+    if not report.parsed:
         raise ValueError("empty corpus: no posts parsed")
     per_user: dict[str, dict[str, tuple[int, int, int]]] = {}
     for (user, week), cell in usage.items():

@@ -9,6 +9,7 @@ never the corpus, so memory tracks vocabulary size.
 from __future__ import annotations
 
 import json
+import multiprocessing
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,7 +18,14 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .lexicon import AFFIX_KINDS, Lexicon
-from .morpho import Annotation, annotate_text, annotation_json, match_counts, normalized_words
+from .morpho import (
+    Annotation,
+    _best_parses,
+    annotate_text,
+    annotation_json,
+    match_counts,
+    normalized_words,
+)
 
 DEFAULT_CHUNK_LINES = 5000
 
@@ -212,17 +220,21 @@ def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
 def _affix_table(posts: Iterable[Post], lexicon: Lexicon, cache: dict) -> FrequencyTable:
     # An affix occurrence is any productive prefix/suffix entry referenced
     # by the token's best parse, keyed by canonical surface so variant
-    # spellings ("mogg") count toward their entry ("mog").
+    # spellings ("mogg") count toward their entry ("mog"). Counted from the
+    # best parses alone: no Span or category set per match.
     counts: Counter[str] = Counter()
     docs = 0
     for post in posts:
         docs += 1
-        for span in annotate_text(post.id, post.text, lexicon, cache).spans:
-            counts.update(
-                seg.entry.surface
-                for seg in span.parse.segments
-                if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
-            )
+        for best in _best_parses(post.text, lexicon, cache):
+            if best is not None:
+                counts.update(
+                    seg.entry.surface
+                    for seg in best.segments
+                    if seg.entry is not None
+                    and seg.entry.productive
+                    and seg.entry.kind in AFFIX_KINDS
+                )
     return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()), doc_count=docs)
 
 
@@ -266,20 +278,37 @@ def fold_usage(
 
 @dataclass(frozen=True)
 class _ScanState:
-    """What a scan's chunk functions read: its lexicon, its strictness and
-    its parse cache, one value per scan."""
+    """What a scan's chunk functions read: its lexicon, its strictness, its
+    parse cache and the one user a usage scan keeps (None keeps all), one
+    value per scan."""
 
     lexicon: Lexicon | None
     strict: bool
+    user: str | None = None
     cache: dict = field(default_factory=dict)
 
 
 _state: _ScanState | None = None
+# in a pool worker: set once the scan has ended early, so chunks that were
+# already handed to the pool are skipped
+_stop = None
 
 
 def _init_worker(state: _ScanState | None) -> None:
     global _state
     _state = state
+
+
+def _init_pool_worker(state: _ScanState, stop) -> None:
+    global _stop
+    _stop = stop
+    _init_worker(state)
+
+
+def _run_unless_stopped(chunk_fn, chunk):
+    # cancel_futures reaches only the chunks still in the pool's own queue;
+    # the workers' call queue holds a few more that only this check skips
+    return None if _stop.is_set() else chunk_fn(chunk)
 
 
 def _chunk_posts(chunk: tuple[int, list[str | bytes]], report: ReadReport) -> list[Post]:
@@ -306,6 +335,8 @@ def _scan_affixes_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
 def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
     report = ReadReport()
     posts = _chunk_posts(chunk, report)
+    if _state.user is not None:
+        posts = [post for post in posts if post.user == _state.user]
     return fold_usage(posts, _state.lexicon, _state.cache, _user_week), report
 
 
@@ -362,17 +393,26 @@ def _run_chunks(chunks: Iterator, chunk_fn, state: _ScanState, workers: int) -> 
             if _state is state:
                 _init_worker(None)
         return
+    stop = multiprocessing.Event()
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(state,)
+        max_workers=workers, initializer=_init_pool_worker, initargs=(state, stop)
     ) as pool:
         window = workers * 3
         pending: deque = deque()
-        for chunk in chunks:
-            pending.append(pool.submit(chunk_fn, chunk))
-            if len(pending) >= window:
+        try:
+            for chunk in chunks:
+                pending.append(pool.submit(_run_unless_stopped, chunk_fn, chunk))
+                if len(pending) >= window:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        except BaseException:
+            # a chunk's error, or a consumer that stopped early: the chunks
+            # not yet started would only be thrown away, so leaving the pool
+            # waits for the running ones alone
+            stop.set()
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _map_chunks(
@@ -383,6 +423,7 @@ def _map_chunks(
     strictness: str,
     chunk_lines: int,
     report: ReadReport | None,
+    user: str | None = None,
 ) -> Iterator:
     """Run chunk_fn over line chunks, yielding its parts in input order and
     adding each chunk's ReadReport into report.
@@ -390,7 +431,7 @@ def _map_chunks(
     In-flight futures are capped so the parent never buffers more than a
     bounded window of lines regardless of corpus size.
     """
-    state = _ScanState(lexicon, _is_strict(strictness))
+    state = _ScanState(lexicon, _is_strict(strictness), user)
     for part, chunk_report in _run_chunks(_chunks(source, chunk_lines), chunk_fn, state, workers):
         if report is not None:
             report.add(chunk_report)
@@ -444,11 +485,14 @@ def scan_usage(
     strictness: str = "skip",
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
+    user: str | None = None,
 ) -> dict[tuple[str, str], tuple[int, int, int]]:
-    """Aggregate (user, iso_week) -> (posts, tokens, matched) over a corpus."""
+    """Aggregate (user, iso_week) -> (posts, tokens, matched) over a corpus,
+    or over one user's posts when user is given; report still tallies every
+    line."""
     usage: dict[tuple[str, str], list[int]] = {}
     for part in _map_chunks(
-        source, _scan_usage_chunk, lexicon, workers, strictness, chunk_lines, report
+        source, _scan_usage_chunk, lexicon, workers, strictness, chunk_lines, report, user
     ):
         for key, (n_posts, n_tokens, n_matched) in part.items():
             cell = usage.setdefault(key, [0, 0, 0])

@@ -26,6 +26,9 @@ CATEGORIES = ("dehumanizing", "racist", "misogynistic")
 
 # a letter three or more times running; token normalization collapses it to two
 LETTER_RUN3 = re.compile(r"([^\W\d_])\1\1+")
+# inflectional endings the segmenter strips from a token's end, longest first
+# for readability (order does not matter)
+INFLECTIONS = ("ing", "ed", "es", "s")
 
 
 class LexiconFormatError(ValueError):
@@ -96,7 +99,8 @@ class Lexicon:
 
     Do not mutate after construction; build a new one instead. Indexes map
     every surface and variant to its entry, and affix forms are kept in
-    longest-first order for the segmenter.
+    longest-first order for the segmenter. may_parse is the segmenter's
+    fast reject: a form it does not find cannot parse.
     """
 
     entries: tuple[LexiconEntry, ...]
@@ -105,6 +109,8 @@ class Lexicon:
     by_variant: dict[str, LexiconEntry] = field(default_factory=dict, repr=False)
     prefix_forms: tuple[tuple[str, LexiconEntry], ...] = field(default=(), repr=False)
     suffix_forms: tuple[tuple[str, LexiconEntry], ...] = field(default=(), repr=False)
+    # the default finds every form, so a Lexicon built by hand stays ungated
+    may_parse: re.Pattern = field(default=re.compile(""), repr=False, compare=False)
 
     def lookup(self, form: str) -> LexiconEntry | None:
         entry = self.by_surface.get(form)
@@ -153,14 +159,36 @@ def build_lexicon(entries: Iterable[LexiconEntry], blocklist: Iterable[str] = ()
         forms.sort(key=lambda fe: (-len(fe[0]), fe[0]))
         return tuple(forms)
 
+    prefix_forms = affix_forms("prefix")
     return Lexicon(
         entries=entries,
         blocklist=frozenset(blocklist),
         by_surface=by_surface,
         by_variant=by_variant,
-        prefix_forms=affix_forms("prefix"),
+        prefix_forms=prefix_forms,
         suffix_forms=affix_forms("suffix"),
+        may_parse=_may_parse_gate([f for f, _ in prefix_forms], [*by_surface, *by_variant]),
     )
+
+
+def _may_parse_gate(prefix_forms: list[str], entry_forms: list[str]) -> re.Pattern:
+    """A pattern found in every form the segmenter can parse, and in some
+    it cannot. Each base strip_inflection offers is the form itself, or the
+    form less an inflection and perhaps a doubled consonant before it; a
+    base parses only if it starts with a prefix form or is, or ends with,
+    an entry form (suffix forms included)."""
+
+    def alternation(forms: list[str]) -> str:
+        return "|".join(re.escape(f) for f in sorted(forms, key=lambda f: (-len(f), f)))
+
+    branches = []
+    if prefix_forms:
+        branches.append(rf"\A(?:{alternation(prefix_forms)})")
+    if entry_forms:
+        endings = "|".join(INFLECTIONS)
+        branches.append(rf"(?:{alternation(entry_forms)})(?:.?(?:{endings}))?\Z")
+    # (?!) never matches: a lexicon with no forms parses nothing
+    return re.compile("|".join(branches) or "(?!)", re.DOTALL)
 
 
 _ENTRY_KEYS = {"surface", "kind", "definition", "categories", "productive", "variants", "source"}

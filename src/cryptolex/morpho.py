@@ -13,11 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .lexicon import EXACT_KINDS, LETTER_RUN3, Lexicon, LexiconEntry
-
-# Inflectional endings recognized when stripping (checked against the token
-# end; listed here longest first for readability, order does not matter).
-INFLECTIONS = ("ing", "ed", "es", "s")
+from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry
 
 MIN_STEM = 3  # shortest novel stem accepted under a productive affix
 MIN_BASE = 3  # shortest base left behind by inflection stripping
@@ -171,13 +167,17 @@ def decompose(normalized: str, lexicon: Lexicon, *, elongated: bool = False) -> 
     fully-collapsed form (runs of two reduced to one), so "celllll"
     still reaches the lexicon; non-elongated tokens never take that path,
     keeping ordinary words like "cell" unmatched.
+
+    A form that lexicon.may_parse does not find skips the segmenter: it
+    cannot parse, so the gate never changes a result.
     """
     if not normalized or normalized in lexicon.blocklist:
         return []
-    parses = _match_form(normalized, lexicon)
+    may_parse = lexicon.may_parse.search
+    parses = _match_form(normalized, lexicon) if may_parse(normalized) else []
     if not parses and elongated:
         squeezed = _RUN2.sub(r"\1", normalized)
-        if squeezed != normalized and squeezed not in lexicon.blocklist:
+        if squeezed != normalized and squeezed not in lexicon.blocklist and may_parse(squeezed):
             parses = _match_form(squeezed, lexicon)
     return parses
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +31,7 @@ from cryptolex import (
 )
 from cryptolex import corpus
 from cryptolex.corpus import scan_annotation_lines
+from cryptolex.lexicon import AFFIX_KINDS
 
 from conftest import make_post, week_ts, write_jsonl
 
@@ -334,6 +338,59 @@ class TestShardedScans:
         annotations.close()
         assert corpus._state is None
 
+    def test_user_scan_counts_only_that_users_posts(self, seed_lexicon, monkeypatch):
+        counted = []
+        match_counts = corpus.match_counts
+
+        def spy(text, lexicon, cache):
+            counted.append(text)
+            return match_counts(text, lexicon, cache)
+
+        monkeypatch.setattr(corpus, "match_counts", spy)
+        text = "".join(
+            jline(record) + "\n"
+            for record in (
+                {**GOOD, "text": "wristcel"},
+                {**GOOD, "id": "p2", "user": "u2", "text": "sooo cope"},
+            )
+        )
+        report = ReadReport()
+        usage = scan_usage(text, seed_lexicon, user="u2", report=report)
+        assert usage == {("u2", "2020-W01"): (1, 2, 0)}
+        assert counted == ["sooo cope"]
+        assert report.parsed == 2
+
+
+def _record_chunk(chunk):
+    """A chunk function for the pool tests: a "fail" line raises at once,
+    any other line names a file that is touched after a while."""
+    start, lines = chunk
+    if lines[0] == "fail":
+        raise PostFormatError("planted", start)
+    time.sleep(0.5)
+    Path(lines[0]).touch()
+    return None, ReadReport()
+
+
+class TestEarlyEnd:
+    """A scan that ends early runs no chunk a worker had not yet started,
+    though 3 x workers chunks were already handed to the pool."""
+
+    def test_chunk_error_skips_queued_chunks(self, tmp_path):
+        lines = ["fail"] + [str(tmp_path / f"chunk{i}") for i in range(2, 21)]
+        with pytest.raises(PostFormatError, match="line 1: planted"):
+            list(corpus._map_chunks(lines, _record_chunk, None, 2, "strict", 1, None))
+        # the two workers took chunks 2 and 3 as chunk 1 failed
+        assert len(list(tmp_path.iterdir())) <= 2
+
+    def test_consumer_stopping_early_skips_queued_chunks(self, tmp_path):
+        lines = [str(tmp_path / f"chunk{i}") for i in range(1, 21)]
+        parts = corpus._map_chunks(lines, _record_chunk, None, 2, "skip", 1, None)
+        assert next(parts) is None
+        parts.close()
+        # chunks 1 and 2 ran, and the workers had taken 3 and 4
+        assert len(list(tmp_path.iterdir())) <= 4
+
 
 MALFORMED = ["", "  ", "broken", "{", jline({"id": "x"}), jline([1]), jline({**GOOD, "created_utc": -1})]
 
@@ -378,6 +435,7 @@ SCANS = {
     "words": lambda source, lex, **kw: scan_frequency_table(source, **kw).canonical_json(),
     "affixes": lambda source, lex, **kw: scan_affix_table(source, lex, **kw).canonical_json(),
     "usage": lambda source, lex, **kw: scan_usage(source, lex, **kw),
+    "user_usage": lambda source, lex, **kw: scan_usage(source, lex, user="u2", **kw),
     "annotations": lambda source, lex, **kw: list(scan_annotations(source, lex, **kw)),
     "rendered": lambda source, lex, **kw: rendered(scan_annotation_lines(source, lex, **kw)),
 }
@@ -391,10 +449,21 @@ def reference_scans(posts, lexicon) -> dict:
         key = (post.user, iso_week(post.created_utc))
         n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
         usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+    # the affix scan counts from best parses alone; pinned here to the spans
+    affixes = Counter(
+        seg.entry.surface
+        for ann in anns
+        for span in ann.spans
+        for seg in span.parse.segments
+        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
+    )
     return {
         "words": build_frequency_table(posts).canonical_json(),
-        "affixes": build_affix_table(posts, lexicon).canonical_json(),
+        "affixes": FrequencyTable(
+            dict(affixes), sum(affixes.values()), len(posts)
+        ).canonical_json(),
         "usage": usage,
+        "user_usage": {key: cell for key, cell in usage.items() if key[0] == "u2"},
         "annotations": anns,
         "rendered": (
             "".join(annotation_json(ann) + "\n" for ann in anns),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import re
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
+    KINDS,
     LexiconEntry,
     annotate_text,
     build_lexicon,
@@ -18,6 +20,7 @@ from cryptolex import (
     tokenize,
 )
 from cryptolex import morpho
+from cryptolex.lexicon import AFFIX_KINDS, INFLECTIONS, LETTER_RUN3
 from cryptolex.morpho import _WORD, Annotation, Span, match_counts
 
 
@@ -330,3 +333,123 @@ class TestMatchCounts:
         monkeypatch.setattr(morpho, "decompose", no_decompose)
         ann = annotate_text("p", "wristcel sooo cope", seed_lexicon, cache)
         assert (ann.token_count, ann.matched_count) == (3, 1)
+
+
+def ungated_decompose(normalized, lexicon, *, elongated=False):
+    """decompose without the may-parse gate: the reference it must equal."""
+    if not normalized or normalized in lexicon.blocklist:
+        return []
+    parses = morpho._match_form(normalized, lexicon)
+    if not parses and elongated:
+        squeezed = morpho._RUN2.sub(r"\1", normalized)
+        if squeezed != normalized and squeezed not in lexicon.blocklist:
+            parses = morpho._match_form(squeezed, lexicon)
+    return parses
+
+
+def assert_gate_sound(form, lexicon):
+    if not lexicon.may_parse.search(form):
+        assert morpho._match_form(form, lexicon) == [], form
+    for elongated in (False, True):
+        assert decompose(form, lexicon, elongated=elongated) == ungated_decompose(
+            form, lexicon, elongated=elongated
+        ), (form, elongated)
+
+
+# Lexicon forms over a four-character alphabet, so that surfaces, variants,
+# affixes and blocklist words overlap and run into one another.
+small_forms = st.text(alphabet="abc0", min_size=1, max_size=5).filter(
+    lambda f: not LETTER_RUN3.search(f)
+)
+
+
+@st.composite
+def small_lexicons(draw):
+    entries = []
+    used: set[str] = set()
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(KINDS))
+        drawn = draw(st.lists(small_forms, min_size=1, max_size=3))
+        forms = [f for f in dict.fromkeys(drawn) if f not in used]
+        if not forms:
+            continue
+        used.update(forms)
+        entries.append(
+            LexiconEntry(
+                surface=forms[0],
+                kind=kind,
+                productive=kind in AFFIX_KINDS and draw(st.booleans()),
+                variants=tuple(forms[1:]),
+            )
+        )
+    return build_lexicon(entries, draw(st.lists(small_forms, max_size=3)))
+
+
+def shaped_forms(lexicon, alphabet="abc0"):
+    """Forms biased toward what the segmenter parses: prefix + stem and
+    stem + suffix (+ suffix) from the lexicon's own forms, each perhaps with
+    a doubled final character, an inflection, or a letter run."""
+    known = [f for e in lexicon.entries for f in e.forms()] + list(lexicon.blocklist)
+    piece = st.text(alphabet=alphabet, max_size=4)
+    if known:
+        piece = st.sampled_from(known) | piece
+    body = st.lists(piece, min_size=1, max_size=3).map("".join)
+
+    def dress(draw_args):
+        stem, double, inflection, run = draw_args
+        if double and stem:
+            stem += stem[-1]
+        form = stem + inflection
+        if run is not None and form:
+            at = run % len(form)
+            form = form[:at] + form[at] * 3 + form[at + 1 :]
+        return normalize_token(form)[0]
+
+    return st.tuples(
+        body, st.booleans(), st.sampled_from(("",) + INFLECTIONS), st.none() | st.integers(0, 9)
+    ).map(dress) | st.text(alphabet=alphabet + "ing", max_size=10)
+
+
+class TestMayParseGate:
+    """The gate may only reject forms that cannot parse: decompose with it
+    equals decompose without it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_sound_on_generated_lexicons(self, data):
+        lexicon = data.draw(small_lexicons())
+        for form in data.draw(st.lists(shaped_forms(lexicon), min_size=1, max_size=5)):
+            assert_gate_sound(form, lexicon)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(["seed", "coded", "empty"]), st.data())
+    def test_sound_on_fixed_lexicons(self, seed_lexicon, coded_lexicon, which, data):
+        lexicon = {"seed": seed_lexicon, "coded": coded_lexicon, "empty": build_lexicon([])}[which]
+        form = data.draw(shaped_forms(lexicon, alphabet="celmogaxbuy0123"))
+        assert_gate_sound(form, lexicon)
+
+    @pytest.mark.parametrize(
+        "form, elongated, slices",
+        [
+            ("betabuxxing", False, ["betabux"]),  # dedoubled before the inflection
+            ("incell", True, ["incel"]),  # the gate misses it; the rescue parses
+            ("cell", False, None),  # no elongation, no rescue
+            ("cell", True, ["cel"]),
+            ("mogging", False, ["mogg"]),  # a variant
+            ("123cel", False, ["123", "cel"]),  # a digit stem under a productive suffix
+            ("w1111", False, None),
+        ],
+    )
+    def test_pinned_forms(self, seed_lexicon, form, elongated, slices):
+        assert_gate_sound(form, seed_lexicon)
+        parses = decompose(form, seed_lexicon, elongated=elongated)
+        assert ([s.slice for s in parses[0].segments] if parses else None) == slices
+
+    def test_empty_lexicon_gate_never_matches(self):
+        gate = build_lexicon([]).may_parse
+        assert [f for f in ("", "a", "cel", "ing") if gate.search(f)] == []
+
+    def test_gate_pickles_with_the_lexicon(self, seed_lexicon):
+        copy = pickle.loads(pickle.dumps(seed_lexicon))
+        assert copy.may_parse.pattern == seed_lexicon.may_parse.pattern
+        assert copy == seed_lexicon
