@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -16,9 +15,8 @@ from . import __version__
 from .corpus import (
     PostFormatError,
     ReadReport,
-    scan_affix_table,
     scan_annotation_lines,
-    scan_frequency_table,
+    scan_tables,
     scan_usage,
 )
 from .discovery import (
@@ -186,14 +184,13 @@ def run_annotate(args) -> int:
 def run_discover(args) -> int:
     strictness = "strict" if args.strict else "skip"
     report = ReadReport()
-    if args.affixes:
-        lexicon = _load_cli_lexicon(args)
-        scan = functools.partial(scan_affix_table, lexicon=lexicon)
-    else:
-        scan = scan_frequency_table
-    target, background = (
-        scan(Path(path), workers=args.workers, strictness=strictness, report=report)
-        for path in (args.input, args.background)
+    lexicon = _load_cli_lexicon(args) if args.affixes else None
+    target, background = scan_tables(
+        (Path(args.input), Path(args.background)),
+        lexicon,
+        workers=args.workers,
+        strictness=strictness,
+        report=report,
     )
     rows = log_ratio_rank(
         target, background, alpha=args.alpha, top_k=args.top_k, min_count=args.min_count

@@ -24,6 +24,12 @@ _RUN2 = re.compile(r"([^\W\d_])\1+", re.UNICODE)
 # any character three times running: every LETTER_RUN3 match is one, and this
 # search is about four times faster, so most texts skip LETTER_RUN3's search
 _REPEAT3 = re.compile(r"(.)\1\1", re.DOTALL)
+# every ASCII byte that is not a letter or digit becomes a space: on ASCII
+# text [^\W_] is exactly [A-Za-z0-9], so split() after this table finds
+# _WORD's words, two to four times faster than findall
+_ASCII_WORD_BYTES = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
+# LETTER_RUN3's search on lowercased ASCII text, two to three times faster
+_ASCII_LETTER_RUN3 = re.compile(r"([a-z])\1\1")
 
 
 @dataclass(frozen=True)
@@ -102,16 +108,31 @@ def _words(text: str) -> tuple[list[str], list[str]]:
     the second not a word character, and U+03A3 (Σ) lowercases by context
     (final sigma), which a whole text carries across a token boundary.
     Collapsing a letter run never moves a word boundary, so the two lists
-    align index for index.
+    align index for index. No word spans a "\n", so a text of many lines,
+    such as a scan chunk's texts joined, is read line by line when it
+    holds either code point, and only the lines holding one fall back.
     """
     if "İ" in text or "Σ" in text:
+        if "\n" in text:
+            lines = [_words(line) for line in text.split("\n")]
+            return [w for line in lines for w in line[0]], [w for line in lines for w in line[1]]
         tokens = tokenize(text)
         return [t.raw.lower() for t in tokens], [t.normalized for t in tokens]
     lowered = text.lower()
-    words = _WORD.findall(lowered)
-    if _REPEAT3.search(lowered) is None or LETTER_RUN3.search(lowered) is None:
+    # lowered text is ASCII when the text is, and for a few letters beyond,
+    # such as the Kelvin sign; collapsing keeps it ASCII
+    if lowered.isascii():
+        read, letter_run3 = _ascii_words, _ASCII_LETTER_RUN3
+    else:
+        read, letter_run3 = _WORD.findall, LETTER_RUN3
+    words = read(lowered)
+    if _REPEAT3.search(lowered) is None or letter_run3.search(lowered) is None:
         return words, words
-    return words, _WORD.findall(LETTER_RUN3.sub(r"\1\1", lowered))
+    return words, read(LETTER_RUN3.sub(r"\1\1", lowered))
+
+
+def _ascii_words(text: str) -> list[str]:
+    return text.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split()
 
 
 def normalized_words(text: str) -> list[str]:

@@ -26,11 +26,13 @@ from cryptolex import (
     scan_affix_table,
     scan_annotations,
     scan_frequency_table,
+    scan_tables,
     scan_usage,
+    tokenize,
     week_index,
 )
 from cryptolex import corpus
-from cryptolex.corpus import scan_annotation_lines
+from cryptolex.corpus import MAX_CREATED_UTC, scan_annotation_lines
 from cryptolex.lexicon import AFFIX_KINDS
 
 from conftest import make_post, week_ts, write_jsonl
@@ -92,6 +94,48 @@ class TestParsePost:
     def test_invalid_utf8_is_malformed(self):
         with pytest.raises(PostFormatError, match="line 3: invalid UTF-8"):
             parse_post_line(b'{"id": "\xff"}\n', line=3)
+
+
+# past the range: an int too large for a float, and a second in the year
+# 3170843; then the last second of 9999 and the one after it
+OUT_OF_RANGE = [10**400, 99999999999999, MAX_CREATED_UTC + 1]
+
+
+class TestCreatedRange:
+    def test_last_second_of_9999_is_valid(self):
+        post = parse_post_line(jline({**GOOD, "created_utc": MAX_CREATED_UTC}))
+        assert post.created_utc == 253402300799
+        assert iso_week(post.created_utc) == "9999-W52"
+
+    @pytest.mark.parametrize("created", OUT_OF_RANGE)
+    def test_out_of_range_is_malformed(self, created):
+        with pytest.raises(PostFormatError, match="line 4: field 'created_utc' is out of range"):
+            parse_post_line(jline({**GOOD, "created_utc": created}), line=4)
+
+    @pytest.mark.parametrize("created", OUT_OF_RANGE + [MAX_CREATED_UTC])
+    def test_skip_and_strict(self, seed_lexicon, created):
+        text = "".join(
+            jline(record) + "\n"
+            for record in (GOOD, {**GOOD, "id": "p2", "created_utc": created}, {**GOOD, "id": "p3"})
+        )
+        valid = created <= MAX_CREATED_UTC
+        report = ReadReport()
+        assert len(list(read_posts(text, report=report))) == (3 if valid else 2)
+        usage_report = ReadReport()
+        usage = scan_usage(text, seed_lexicon, workers=2, chunk_lines=1, report=usage_report)
+        assert usage_report == report
+        assert (("u1", "9999-W52") in usage) == valid
+        if valid:
+            assert list(read_posts(text, "strict"))[1].created_utc == created
+            return
+        assert report.first_error.startswith("line 2: field 'created_utc' is out of range")
+        for scan in (
+            lambda: list(read_posts(text, "strict")),
+            lambda: scan_usage(text, seed_lexicon, strictness="strict", chunk_lines=1),
+            lambda: scan_frequency_table(text, workers=2, strictness="strict", chunk_lines=1),
+        ):
+            with pytest.raises(PostFormatError, match="line 2: field 'created_utc' is out of"):
+                scan()
 
 
 class TestReadPosts:
@@ -361,6 +405,38 @@ class TestShardedScans:
         assert report.parsed == 2
 
 
+class TestTwoSourceScan:
+    """scan_tables reads target and background through one pool."""
+
+    def test_background_error_names_its_line(self, tmp_path, seed_lexicon):
+        target = write_jsonl(tmp_path / "target.jsonl", [GOOD, {**GOOD, "id": "p2"}])
+        background = tmp_path / "background.jsonl"
+        background.write_text(jline(GOOD) + "\n" + jline(GOOD) + "\nbroken\n", encoding="utf-8")
+        with pytest.raises(PostFormatError) as expected:
+            list(read_posts(background, "strict"))
+        for lexicon in (None, seed_lexicon):
+            for workers in (1, 2):
+                sources = [target, background]
+                with pytest.raises(PostFormatError) as err:
+                    scan_tables(sources, lexicon, workers=workers, strictness="strict", chunk_lines=1)
+                assert err.value.line == 3
+                assert str(err.value) == str(expected.value)
+
+    def test_target_error_comes_first(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text((jline(GOOD) + "\n") * 3 + "{\n", encoding="utf-8")
+        background = tmp_path / "background.jsonl"
+        background.write_text("broken\n", encoding="utf-8")
+        with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
+            scan_tables([target, background], workers=2, strictness="strict", chunk_lines=1)
+        report = ReadReport()
+        tables = scan_tables([target, background], workers=2, chunk_lines=1, report=report)
+        assert [t.doc_count for t in tables] == [3, 0]
+        assert tables[1] == FrequencyTable()
+        assert (report.lines, report.skipped) == (5, 2)
+        assert report.first_error.startswith("line 4: invalid JSON")
+
+
 def _record_chunk(chunk):
     """A chunk function for the pool tests: a "fail" line raises at once,
     any other line names a file that is touched after a while."""
@@ -374,19 +450,19 @@ def _record_chunk(chunk):
 
 class TestEarlyEnd:
     """A scan that ends early runs no chunk a worker had not yet started,
-    though 3 x workers chunks were already handed to the pool."""
+    though 2 x workers chunks were already handed to the pool."""
 
     def test_chunk_error_skips_queued_chunks(self, tmp_path):
         lines = ["fail"] + [str(tmp_path / f"chunk{i}") for i in range(2, 21)]
         with pytest.raises(PostFormatError, match="line 1: planted"):
-            list(corpus._map_chunks(lines, _record_chunk, None, 2, "strict", 1, None))
+            list(corpus._map_chunks([lines], _record_chunk, None, 2, "strict", 1, None))
         # the two workers took chunks 2 and 3 as chunk 1 failed
         assert len(list(tmp_path.iterdir())) <= 2
 
     def test_consumer_stopping_early_skips_queued_chunks(self, tmp_path):
         lines = [str(tmp_path / f"chunk{i}") for i in range(1, 21)]
-        parts = corpus._map_chunks(lines, _record_chunk, None, 2, "skip", 1, None)
-        assert next(parts) is None
+        parts = corpus._map_chunks([lines], _record_chunk, None, 2, "skip", 1, None)
+        assert next(parts) == (0, None)
         parts.close()
         # chunks 1 and 2 ran, and the workers had taken 3 and 4
         assert len(list(tmp_path.iterdir())) <= 4
@@ -457,8 +533,11 @@ def reference_scans(posts, lexicon) -> dict:
         for seg in span.parse.segments
         if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
     )
+    # build_frequency_table shares the word reader under test, so the words
+    # reference counts tokenize's words
+    words = Counter(t.normalized for post in posts for t in tokenize(post.text))
     return {
-        "words": build_frequency_table(posts).canonical_json(),
+        "words": FrequencyTable(dict(words), sum(words.values()), len(posts)).canonical_json(),
         "affixes": FrequencyTable(
             dict(affixes), sum(affixes.values()), len(posts)
         ).canonical_json(),
@@ -474,30 +553,81 @@ def reference_scans(posts, lexicon) -> dict:
     }
 
 
+# scans of a target and a background source through one pool
+PAIR_SCANS = {
+    "words": lambda sources, lex, **kw: [t.canonical_json() for t in scan_tables(sources, **kw)],
+    "affixes": lambda sources, lex, **kw: [
+        t.canonical_json() for t in scan_tables(sources, lex, **kw)
+    ],
+}
+
+
+class Corpus:
+    """One drawn corpus: its text, a file holding it, and what read_posts
+    makes of it."""
+
+    def __init__(self, items, path, lexicon):
+        self.text = render_lines(items)
+        path.write_bytes(self.text.encode("utf-8"))
+        self.path = path
+        self.report = ReadReport()
+        self.expected = reference_scans(list(read_posts(self.text, report=self.report)), lexicon)
+        self.bad = [i for i, (kind, _) in enumerate(items, start=1) if kind == "bad"]
+        self.strict_error = None
+        if self.bad:
+            with pytest.raises(PostFormatError) as first_bad:
+                list(read_posts(self.text, "strict"))
+            self.strict_error = first_bad.value
+
+    def sources(self):
+        """The same bytes as a Path, a str and an iterable."""
+        return (lambda: self.path, lambda: self.text, lambda: io.StringIO(self.text))
+
+
 @settings(max_examples=30, deadline=None)
-@given(scan_lines, st.integers(1, 4))
+@given(scan_lines, scan_lines, st.integers(1, 4))
 def test_scan_invariant_to_source_workers_and_chunks(
-    tmp_path_factory, seed_lexicon, items, chunk_lines
+    tmp_path_factory, seed_lexicon, items, background_items, chunk_lines
 ):
-    text = render_lines(items)
-    path = tmp_path_factory.mktemp("scan") / "posts.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    reference = ReadReport()
-    expected = reference_scans(list(read_posts(text, report=reference)), seed_lexicon)
-    bad = [i for i, (kind, _) in enumerate(items, start=1) if kind == "bad"]
-    if bad:
-        with pytest.raises(PostFormatError) as first_bad:
-            list(read_posts(text, "strict"))
-    for make_source in (lambda: path, lambda: text, lambda: io.StringIO(text)):
+    work = tmp_path_factory.mktemp("scan")
+    target = Corpus(items, work / "posts.jsonl", seed_lexicon)
+    background = Corpus(background_items, work / "background.jsonl", seed_lexicon)
+    expected, reference = target.expected, target.report
+    for make_source in target.sources():
         for workers in (1, 2):
+            kwargs = {"workers": workers, "chunk_lines": chunk_lines}
             for name, scan in SCANS.items():
                 report = ReadReport()
-                kwargs = {"workers": workers, "chunk_lines": chunk_lines}
                 result = scan(make_source(), seed_lexicon, report=report, **kwargs)
                 assert result == expected[name], name
                 assert report == reference, name
-                if bad:
+                if target.bad:
                     with pytest.raises(PostFormatError) as err:
                         scan(make_source(), seed_lexicon, strictness="strict", **kwargs)
-                    assert err.value.line == bad[0], name
-                    assert str(err.value) == str(first_bad.value), name
+                    assert err.value.line == target.bad[0], name
+                    assert str(err.value) == str(target.strict_error), name
+    # the folded report of both sources is the sum of read_posts' reports,
+    # and strict mode raises on the target's first bad line, else the
+    # background's, as a scan of that source alone would
+    both = ReadReport(
+        reference.lines + background.report.lines,
+        reference.parsed + background.report.parsed,
+        reference.skipped + background.report.skipped,
+        reference.first_error or background.report.first_error,
+    )
+    first = target if target.bad else background
+    for make_target, make_background in zip(target.sources(), background.sources()):
+        for workers in (1, 2):
+            kwargs = {"workers": workers, "chunk_lines": chunk_lines}
+            for name, scan in PAIR_SCANS.items():
+                report = ReadReport()
+                sources = [make_target(), make_background()]
+                result = scan(sources, seed_lexicon, report=report, **kwargs)
+                assert result == [target.expected[name], background.expected[name]], name
+                assert report == both, name
+                if first.bad:
+                    sources = [make_target(), make_background()]
+                    with pytest.raises(PostFormatError) as err:
+                        scan(sources, seed_lexicon, strictness="strict", **kwargs)
+                    assert err.value.line == first.bad[0], name
+                    assert str(err.value) == str(first.strict_error), name

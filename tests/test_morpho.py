@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pickle
 import re
+import string
 import sys
 
 import pytest
@@ -259,8 +260,23 @@ biased_text = st.lists(
 ).map("".join)
 
 # Short texts over the characters whose lowercase depends on context (Σ)
-# or grows (İ), so that each guard of the word reader is met often.
-casing_text = st.text(alphabet="ΑΒΣσςİIı'\u0307 _x", max_size=12)
+# or grows (İ), and line breaks, so that each guard of the word reader is
+# met often, in texts of one line and of many.
+casing_text = st.text(alphabet="ΑΒΣσςİIı'\u0307 _x\n", max_size=12)
+
+# ASCII texts, which the word reader takes through its byte table: both
+# cases, digits, the ASCII characters split() or _WORD might treat apart,
+# and letter runs, so that the collapsed text takes the table too.
+ascii_text = st.lists(
+    st.one_of(
+        st.text(alphabet="aAzZkK09_'\t\n\x0b\x0c\x1c\x1d\x1e\x1f .-", max_size=4),
+        st.tuples(st.sampled_from(string.ascii_letters), st.integers(3, 6)).map(
+            lambda cn: cn[0] * cn[1]
+        ),
+        st.sampled_from(["wristcel", "SOOO", "mogggging", "x111", "cope"]),
+    ),
+    max_size=12,
+).map("".join)
 
 SHARED_CACHE: dict = {}  # one cache across examples, as a scan shares one
 
@@ -302,12 +318,26 @@ class TestMatchCounts:
     reader, _words; each must equal the reference built from tokenize."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(st.text(), biased_text, casing_text))
+    @given(st.one_of(st.text(), biased_text, casing_text, ascii_text))
     def test_matches_reference(self, seed_lexicon, text):
         assert_views_match_reference(text, seed_lexicon)
 
     @pytest.mark.parametrize(
-        "text", ["ΑΣ'Β", "İx", "Incelllll", "sooo_xx", "ſ ß ẞ wristcel", "cope... 111 mogggg"]
+        "text",
+        [
+            "ΑΣ'Β",
+            "İx",
+            "Incelllll",
+            "sooo_xx",
+            "ſ ß ẞ wristcel",
+            "cope... 111 mogggg",
+            # the Kelvin sign lowercases to an ASCII k: the lowercased text
+            # takes the byte table, and offsets still come from the original
+            "\u212a wristcel\u212a\u212a\u212a mogging",
+            "a\x1cb\x1fwristcel\x0bcope\x0c",
+            # lines read one by one: only the first falls back to tokenize
+            "ΑΣ'Β\nwristcel sooo\n\nİx",
+        ],
     )
     def test_pinned_cases(self, seed_lexicon, text):
         assert_views_match_reference(text, seed_lexicon)
