@@ -15,8 +15,8 @@ from . import __version__
 from .corpus import (
     PostFormatError,
     ReadReport,
+    _scan_tables,
     scan_annotation_lines,
-    scan_tables,
     scan_usage,
 )
 from .discovery import (
@@ -185,7 +185,7 @@ def run_discover(args) -> int:
     strictness = "strict" if args.strict else "skip"
     report = ReadReport()
     lexicon = _load_cli_lexicon(args) if args.affixes else None
-    target, background = scan_tables(
+    target, background = _scan_tables(
         (Path(args.input), Path(args.background)),
         lexicon,
         workers=args.workers,

@@ -45,7 +45,9 @@ class PostFormatError(ValueError):
 
 class Post(NamedTuple):
     # a NamedTuple, not a frozen dataclass: a scan builds one per line, and
-    # this builds about twice as fast
+    # this builds about twice as fast. Being a tuple, a Post also equals and
+    # hashes as a plain tuple of its fields, and unpacks, indexes and orders
+    # like one.
     id: str
     user: str
     forum: str
@@ -217,10 +219,16 @@ def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
 def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
     """Count normalized token occurrences over a post stream.
 
-    The texts are read as one: no word or letter run spans the "\n" that
-    joins them, so their words are the words of each text in turn."""
+    The texts are read as two: the ASCII ones joined by "\\n", then the
+    others joined by "\\n", so one non-ASCII post does not send every other
+    text past the reader's ASCII byte table. No word or letter run spans a
+    "\\n", and counts do not depend on order, so the counts are those of
+    each text read alone."""
     texts = [post.text for post in posts]
-    words = normalized_words("\n".join(texts))
+    ascii_texts = [text for text in texts if text.isascii()]
+    words = normalized_words("\n".join(ascii_texts))
+    if len(ascii_texts) < len(texts):
+        words += normalized_words("\n".join(text for text in texts if not text.isascii()))
     return FrequencyTable(dict(Counter(words)), total_tokens=len(words), doc_count=len(texts))
 
 
@@ -414,7 +422,19 @@ def _run_chunks(
         window = workers * 2
         pending: deque = deque()
         try:
-            for tag, chunk in chunks:
+            while True:
+                try:
+                    tag, chunk = next(chunks)
+                except StopIteration:
+                    break
+                except Exception:
+                    # a source that cannot be read, such as a missing file:
+                    # the chunks read before it come first, as at one worker,
+                    # so a strict error in one of them is still the error
+                    while pending:
+                        tag, future = pending.popleft()
+                        yield tag, future.result()
+                    raise
                 pending.append((tag, pool.submit(_run_unless_stopped, chunk_fn, chunk)))
                 if len(pending) >= window:
                     tag, future = pending.popleft()
@@ -460,7 +480,7 @@ def _map_chunks(
         yield index, part
 
 
-def scan_tables(
+def _scan_tables(
     sources: Sequence,
     lexicon: Lexicon | None = None,
     *,
@@ -498,7 +518,7 @@ def scan_frequency_table(
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
-    return scan_tables(
+    return _scan_tables(
         [source], workers=workers, strictness=strictness, report=report, chunk_lines=chunk_lines
     )[0]
 
@@ -512,7 +532,7 @@ def scan_affix_table(
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
-    return scan_tables(
+    return _scan_tables(
         [source],
         lexicon,
         workers=workers,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry
 
@@ -21,15 +22,16 @@ VOWELS = frozenset("aeiou")
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 _RUN2 = re.compile(r"([^\W\d_])\1+", re.UNICODE)
-# any character three times running: every LETTER_RUN3 match is one, and this
-# search is about four times faster, so most texts skip LETTER_RUN3's search
-_REPEAT3 = re.compile(r"(.)\1\1", re.DOTALL)
+# any character three times running or more: every LETTER_RUN3 match is one,
+# and this pattern scans three to four times faster, so most texts skip the
+# collapse, and the rest collapse by cutting only the runs of a letter
+_RUN3 = re.compile(r"(.)\1\1+", re.DOTALL)
 # every ASCII byte that is not a letter or digit becomes a space: on ASCII
 # text [^\W_] is exactly [A-Za-z0-9], so split() after this table finds
 # _WORD's words, two to four times faster than findall
 _ASCII_WORD_BYTES = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
-# LETTER_RUN3's search on lowercased ASCII text, two to three times faster
-_ASCII_LETTER_RUN3 = re.compile(r"([a-z])\1\1")
+# LETTER_RUN3 on lowercased ASCII text, two to three times faster
+_ASCII_LETTER_RUN3 = re.compile(r"([a-z])\1\1+")
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def _words(text: str) -> tuple[list[str], list[str]]:
     the second not a word character, and U+03A3 (Σ) lowercases by context
     (final sigma), which a whole text carries across a token boundary.
     Collapsing a letter run never moves a word boundary, so the two lists
-    align index for index. No word spans a "\n", so a text of many lines,
+    align index for index. No word spans a "\\n", so a text of many lines,
     such as a scan chunk's texts joined, is read line by line when it
     holds either code point, and only the lines holding one fall back.
     """
@@ -118,17 +120,31 @@ def _words(text: str) -> tuple[list[str], list[str]]:
             return [w for line in lines for w in line[0]], [w for line in lines for w in line[1]]
         tokens = tokenize(text)
         return [t.raw.lower() for t in tokens], [t.normalized for t in tokens]
+    read, lowered, collapsed = _forms(text)
+    words = read(lowered)
+    return words, words if collapsed == lowered else read(collapsed)
+
+
+def _forms(text: str) -> tuple[Callable[[str], list[str]], str, str]:
+    """The word read for text, its lowercase, and that lowercase with each
+    letter run of three or more collapsed to two (equal to it when none)."""
     lowered = text.lower()
     # lowered text is ASCII when the text is, and for a few letters beyond,
     # such as the Kelvin sign; collapsing keeps it ASCII
     if lowered.isascii():
-        read, letter_run3 = _ascii_words, _ASCII_LETTER_RUN3
-    else:
-        read, letter_run3 = _WORD.findall, LETTER_RUN3
-    words = read(lowered)
-    if _REPEAT3.search(lowered) is None or letter_run3.search(lowered) is None:
-        return words, words
-    return words, read(LETTER_RUN3.sub(r"\1\1", lowered))
+        if _RUN3.search(lowered) is None or _ASCII_LETTER_RUN3.search(lowered) is None:
+            return _ascii_words, lowered, lowered
+        return _ascii_words, lowered, _ASCII_LETTER_RUN3.sub(r"\1\1", lowered)
+    if _RUN3.search(lowered) is None:
+        return _WORD.findall, lowered, lowered
+    return _WORD.findall, lowered, _RUN3.sub(_cut_letter_run, lowered)
+
+
+def _cut_letter_run(run: re.Match) -> str:
+    # LETTER_RUN3.sub(r"\1\1", text) for any text: LETTER_RUN3 tests only
+    # the runs _RUN3 finds, not every position of the text
+    found = run.group()
+    return found[:2] if LETTER_RUN3.match(found) else found
 
 
 def _ascii_words(text: str) -> list[str]:
@@ -136,8 +152,12 @@ def _ascii_words(text: str) -> list[str]:
 
 
 def normalized_words(text: str) -> list[str]:
-    """The counting view of tokenize: [t.normalized for t in tokenize(text)]."""
-    return _words(text)[1]
+    """The counting view of tokenize: [t.normalized for t in tokenize(text)],
+    read once, from the collapsed text."""
+    if "İ" in text or "Σ" in text:
+        return _words(text)[1]
+    read, _, collapsed = _forms(text)
+    return read(collapsed)
 
 
 def _ends_doubled_consonant(base: str) -> bool:

@@ -207,6 +207,25 @@ class TestDiscoverCommand:
         header = capsys.readouterr().out.splitlines()[0]
         assert header.endswith("definition\tdehumanizing\tracist\tmisogynistic")
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_missing_background_after_bad_target_line(self, corpus, tmp_path, capsys, strict):
+        # the background is opened while target chunks are still in flight at
+        # two workers; its error must still come after the target's results
+        target = tmp_path / "target.jsonl"
+        target.write_text(corpus.read_text(encoding="utf-8") + "broken\n", encoding="utf-8")
+        missing = tmp_path / "missing.jsonl"
+        errors = []
+        for workers in ("1", "2"):
+            argv = ["discover", "--input", str(target), "--background", str(missing),
+                    "--workers", workers] + (["--strict"] if strict else [])
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        if strict:
+            expected = "error: line 5: invalid JSON (Expecting value)\n"
+        else:
+            expected = f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert errors == [expected, expected]
+
     def test_alpha_zero_is_usage_error(self, corpus, background):
         assert main(
             ["discover", "--input", str(corpus), "--background", str(background), "--alpha", "0"]

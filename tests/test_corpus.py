@@ -26,13 +26,12 @@ from cryptolex import (
     scan_affix_table,
     scan_annotations,
     scan_frequency_table,
-    scan_tables,
     scan_usage,
     tokenize,
     week_index,
 )
 from cryptolex import corpus
-from cryptolex.corpus import MAX_CREATED_UTC, scan_annotation_lines
+from cryptolex.corpus import MAX_CREATED_UTC, _scan_tables, scan_annotation_lines
 from cryptolex.lexicon import AFFIX_KINDS
 
 from conftest import make_post, week_ts, write_jsonl
@@ -406,7 +405,7 @@ class TestShardedScans:
 
 
 class TestTwoSourceScan:
-    """scan_tables reads target and background through one pool."""
+    """_scan_tables reads target and background through one pool."""
 
     def test_background_error_names_its_line(self, tmp_path, seed_lexicon):
         target = write_jsonl(tmp_path / "target.jsonl", [GOOD, {**GOOD, "id": "p2"}])
@@ -418,7 +417,7 @@ class TestTwoSourceScan:
             for workers in (1, 2):
                 sources = [target, background]
                 with pytest.raises(PostFormatError) as err:
-                    scan_tables(sources, lexicon, workers=workers, strictness="strict", chunk_lines=1)
+                    _scan_tables(sources, lexicon, workers=workers, strictness="strict", chunk_lines=1)
                 assert err.value.line == 3
                 assert str(err.value) == str(expected.value)
 
@@ -428,13 +427,31 @@ class TestTwoSourceScan:
         background = tmp_path / "background.jsonl"
         background.write_text("broken\n", encoding="utf-8")
         with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
-            scan_tables([target, background], workers=2, strictness="strict", chunk_lines=1)
+            _scan_tables([target, background], workers=2, strictness="strict", chunk_lines=1)
         report = ReadReport()
-        tables = scan_tables([target, background], workers=2, chunk_lines=1, report=report)
+        tables = _scan_tables([target, background], workers=2, chunk_lines=1, report=report)
         assert [t.doc_count for t in tables] == [3, 0]
         assert tables[1] == FrequencyTable()
         assert (report.lines, report.skipped) == (5, 2)
         assert report.first_error.startswith("line 4: invalid JSON")
+
+
+    def test_unreadable_source_comes_after_earlier_chunks(self, tmp_path, seed_lexicon):
+        target = tmp_path / "target.jsonl"
+        target.write_text((jline(GOOD) + "\n") * 3 + "{\n", encoding="utf-8")
+        missing = tmp_path / "missing.jsonl"
+        for lexicon in (None, seed_lexicon):
+            for workers in (1, 2):
+                # at two workers the missing file is opened while the target's
+                # chunks are still in flight
+                with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
+                    _scan_tables(
+                        [target, missing], lexicon, workers=workers, strictness="strict", chunk_lines=1
+                    )
+                report = ReadReport()
+                with pytest.raises(FileNotFoundError):
+                    _scan_tables([target, missing], lexicon, workers=workers, chunk_lines=1, report=report)
+                assert (report.lines, report.skipped) == (4, 1)
 
 
 def _record_chunk(chunk):
@@ -555,9 +572,9 @@ def reference_scans(posts, lexicon) -> dict:
 
 # scans of a target and a background source through one pool
 PAIR_SCANS = {
-    "words": lambda sources, lex, **kw: [t.canonical_json() for t in scan_tables(sources, **kw)],
+    "words": lambda sources, lex, **kw: [t.canonical_json() for t in _scan_tables(sources, **kw)],
     "affixes": lambda sources, lex, **kw: [
-        t.canonical_json() for t in scan_tables(sources, lex, **kw)
+        t.canonical_json() for t in _scan_tables(sources, lex, **kw)
     ],
 }
 

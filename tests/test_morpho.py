@@ -278,6 +278,19 @@ ascii_text = st.lists(
     max_size=12,
 ).map("".join)
 
+# Texts beyond ASCII with runs of letters (é, ß, ſ, and ² and ½, numbers that
+# LETTER_RUN3 counts as a letter), of digits, marks and punctuation, which
+# the reader collapses by testing only the runs it finds.
+run_text = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(list("éßſ²٣½…—_\u0307'a1 ")), st.integers(1, 6)).map(
+            lambda cn: cn[0] * cn[1]
+        ),
+        st.sampled_from(["wristcel", "mogggging", "\n"]),
+    ),
+    max_size=12,
+).map("".join)
+
 SHARED_CACHE: dict = {}  # one cache across examples, as a scan shares one
 
 
@@ -307,6 +320,7 @@ def assert_views_match_reference(text, lexicon, shared=SHARED_CACHE):
         [t.raw.lower() for t in tokens],
         [t.normalized for t in tokens],
     )
+    assert normalized_words(text) == [t.normalized for t in tokens]
     for cache in ({}, shared):
         assert annotate_text("p", text, lexicon, cache) == expected
         assert match_counts(text, lexicon, cache) == counts
@@ -318,7 +332,7 @@ class TestMatchCounts:
     reader, _words; each must equal the reference built from tokenize."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(st.text(), biased_text, casing_text, ascii_text))
+    @given(st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text))
     def test_matches_reference(self, seed_lexicon, text):
         assert_views_match_reference(text, seed_lexicon)
 
@@ -335,6 +349,10 @@ class TestMatchCounts:
             # takes the byte table, and offsets still come from the original
             "\u212a wristcel\u212a\u212a\u212a mogging",
             "a\x1cb\x1fwristcel\x0bcope\x0c",
+            # both ends of the ASCII letter runs, and runs beyond ASCII: only
+            # the letters' runs collapse, ² and ½ counting as letters
+            "AAA zzzz ZZZ...",
+            "ééé ßßßß ²²² ½½½ ٣٣٣ ___ ……… sooo",
             # lines read one by one: only the first falls back to tokenize
             "ΑΣ'Β\nwristcel sooo\n\nİx",
         ],
