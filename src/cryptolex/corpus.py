@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lexicon import AFFIX_KINDS, Lexicon
+from .lexicon import AFFIX_KINDS, Lexicon, parse_json_line
 from .morpho import (
     Annotation,
     _best_parses,
@@ -127,11 +127,7 @@ def parse_post_line(raw: str | bytes, line: int | None = None) -> Post:
     text = raw.strip()
     if not text:
         raise PostFormatError("blank line", line)
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PostFormatError(f"invalid JSON ({exc.msg})", line) from None
-    return parse_post_record(record, line)
+    return parse_post_record(parse_json_line(text, line, PostFormatError), line)
 
 
 def _as_lines(source: Path | str | Iterable[str | bytes]) -> Iterator[str | bytes]:
@@ -251,11 +247,6 @@ def _affix_table(posts: Iterable[Post], lexicon: Lexicon, cache: dict) -> Freque
                     and seg.entry.kind in AFFIX_KINDS
                 )
     return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()), doc_count=docs)
-
-
-def build_affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
-    """Count productive-affix occurrences in best parses, keyed by surface."""
-    return _affix_table(posts, lexicon, {})
 
 
 def iso_week(created_utc: int) -> str:
@@ -480,7 +471,7 @@ def _map_chunks(
         yield index, part
 
 
-def _scan_tables(
+def scan_tables(
     sources: Sequence,
     lexicon: Lexicon | None = None,
     *,
@@ -518,27 +509,8 @@ def scan_frequency_table(
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
-    return _scan_tables(
+    return scan_tables(
         [source], workers=workers, strictness=strictness, report=report, chunk_lines=chunk_lines
-    )[0]
-
-
-def scan_affix_table(
-    source,
-    lexicon: Lexicon,
-    *,
-    workers: int = 1,
-    strictness: str = "skip",
-    report: ReadReport | None = None,
-    chunk_lines: int = DEFAULT_CHUNK_LINES,
-) -> FrequencyTable:
-    return _scan_tables(
-        [source],
-        lexicon,
-        workers=workers,
-        strictness=strictness,
-        report=report,
-        chunk_lines=chunk_lines,
     )[0]
 
 

@@ -93,82 +93,68 @@ def _check_surface_form(form: str, what: str) -> None:
         raise LexiconFormatError(f"{what}: {form!r} contains a letter run longer than two")
 
 
+def _index():
+    # built from entries by Lexicon.__post_init__, so equality and repr skip it
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass
 class Lexicon:
-    """Immutable entry collection plus lookup indexes.
+    """Immutable entry collection plus lookup indexes, built from entries.
 
-    Do not mutate after construction; build a new one instead. Indexes map
-    every surface and variant to its entry, and affix forms are kept in
-    longest-first order for the segmenter. may_parse is the segmenter's
-    fast reject: a form it does not find cannot parse.
+    Do not mutate after construction; build a new one instead. Every
+    surface and variant names exactly one entry, so forms maps each to its
+    entry; a collision makes lookup ambiguous, so it is an error rather
+    than a warning. Affix forms are kept in longest-first order for the
+    segmenter. may_parse is the segmenter's fast reject: a form it does not
+    find cannot parse.
     """
 
     entries: tuple[LexiconEntry, ...]
     blocklist: frozenset[str] = frozenset()
-    by_surface: dict[str, LexiconEntry] = field(default_factory=dict, repr=False)
-    by_variant: dict[str, LexiconEntry] = field(default_factory=dict, repr=False)
-    prefix_forms: tuple[tuple[str, LexiconEntry], ...] = field(default=(), repr=False)
-    suffix_forms: tuple[tuple[str, LexiconEntry], ...] = field(default=(), repr=False)
-    # the default finds every form, so a Lexicon built by hand stays ungated
-    may_parse: re.Pattern = field(default=re.compile(""), repr=False, compare=False)
+    forms: dict[str, LexiconEntry] = _index()
+    prefix_forms: tuple[tuple[str, LexiconEntry], ...] = _index()
+    suffix_forms: tuple[tuple[str, LexiconEntry], ...] = _index()
+    may_parse: re.Pattern = _index()
+
+    def __post_init__(self):
+        forms: dict[str, LexiconEntry] = {}
+        for entry in self.entries:
+            if entry.surface in forms:
+                raise LexiconFormatError(f"duplicate surface {entry.surface!r}")
+            forms[entry.surface] = entry
+        for entry in self.entries:
+            for v in entry.variants:
+                other = forms.get(v)
+                if other is not None:
+                    what = "surface" if other.surface == v else "variant of"
+                    raise LexiconFormatError(
+                        f"variant {v!r} of {entry.surface!r} collides with {what} {other.surface!r}"
+                    )
+                forms[v] = entry
+        self.forms = forms
+        self.prefix_forms = self._affix_forms("prefix")
+        self.suffix_forms = self._affix_forms("suffix")
+        self.may_parse = _may_parse_gate([f for f, _ in self.prefix_forms], list(forms))
+
+    def _affix_forms(self, kind: str) -> tuple[tuple[str, LexiconEntry], ...]:
+        forms = [
+            (form, entry) for entry in self.entries if entry.kind == kind for form in entry.forms()
+        ]
+        # longest first so greedy matching prefers the most specific affix
+        forms.sort(key=lambda fe: (-len(fe[0]), fe[0]))
+        return tuple(forms)
 
     def lookup(self, form: str) -> LexiconEntry | None:
-        entry = self.by_surface.get(form)
-        if entry is None:
-            entry = self.by_variant.get(form)
-        return entry
+        return self.forms.get(form)
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
 def build_lexicon(entries: Iterable[LexiconEntry], blocklist: Iterable[str] = ()) -> Lexicon:
-    """Index entries and enforce cross-entry uniqueness.
-
-    Every surface and variant must be globally unique; a collision makes
-    lookup ambiguous, so it is an error rather than a warning.
-    """
-    entries = tuple(entries)
-    by_surface: dict[str, LexiconEntry] = {}
-    by_variant: dict[str, LexiconEntry] = {}
-    for entry in entries:
-        if entry.surface in by_surface:
-            raise LexiconFormatError(f"duplicate surface {entry.surface!r}")
-        by_surface[entry.surface] = entry
-    for entry in entries:
-        for v in entry.variants:
-            if v in by_surface:
-                raise LexiconFormatError(
-                    f"variant {v!r} of {entry.surface!r} collides with surface {v!r}"
-                )
-            if v in by_variant:
-                other = by_variant[v].surface
-                raise LexiconFormatError(
-                    f"variant {v!r} of {entry.surface!r} collides with variant of {other!r}"
-                )
-            by_variant[v] = entry
-
-    def affix_forms(kind: str) -> tuple[tuple[str, LexiconEntry], ...]:
-        forms = [
-            (form, entry)
-            for entry in entries
-            if entry.kind == kind
-            for form in entry.forms()
-        ]
-        # longest first so greedy matching prefers the most specific affix
-        forms.sort(key=lambda fe: (-len(fe[0]), fe[0]))
-        return tuple(forms)
-
-    prefix_forms = affix_forms("prefix")
-    return Lexicon(
-        entries=entries,
-        blocklist=frozenset(blocklist),
-        by_surface=by_surface,
-        by_variant=by_variant,
-        prefix_forms=prefix_forms,
-        suffix_forms=affix_forms("suffix"),
-        may_parse=_may_parse_gate([f for f, _ in prefix_forms], [*by_surface, *by_variant]),
-    )
+    """A Lexicon of entries and blocklist; see Lexicon for the uniqueness rule."""
+    return Lexicon(tuple(entries), frozenset(blocklist))
 
 
 def _may_parse_gate(prefix_forms: list[str], entry_forms: list[str]) -> re.Pattern:
@@ -227,6 +213,22 @@ def parse_entry(record: dict, line: int | None = None) -> LexiconEntry:
         raise
 
 
+def parse_json_line(text: str, line: int | None, error: type[ValueError]):
+    """json.loads for one line of a JSON Lines file. Every line it rejects
+    raises error(message, line) with a message that starts "invalid JSON",
+    also those it rejects without a JSONDecodeError: an integer past int()'s
+    digit limit (a plain ValueError) and nesting too deep (RecursionError)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = exc.msg
+    except ValueError:  # past sys.get_int_max_str_digits()
+        message = "integer too long"
+    except RecursionError:
+        message = "nested too deeply"
+    raise error(f"invalid JSON ({message})", line)
+
+
 def parse_lexicon_lines(lines: Iterable[str]) -> list[LexiconEntry]:
     """Parse JSON Lines text into entries, reporting 1-based line numbers."""
     entries = []
@@ -234,11 +236,7 @@ def parse_lexicon_lines(lines: Iterable[str]) -> list[LexiconEntry]:
         text = raw.strip()
         if not text:
             continue
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LexiconFormatError(f"invalid JSON ({exc.msg})", lineno) from None
-        entries.append(parse_entry(record, lineno))
+        entries.append(parse_entry(parse_json_line(text, lineno, LexiconFormatError), lineno))
     return entries
 
 
@@ -304,27 +302,19 @@ class Issue:
 
 
 def validate(lexicon: Lexicon) -> list[Issue]:
-    """Re-check lexicon invariants and flag data-quality gaps.
+    """Flag data-quality gaps.
 
-    Structural violations (collisions, malformed surfaces) are errors;
-    missing category codes or glosses are warnings. load_lexicon already
-    rejects the errors, so this mostly matters for hand-built lexicons.
+    A blocklist word that is also an entry surface is an error; missing
+    category codes or glosses are warnings. Form collisions and malformed
+    surfaces are not checked here: no Lexicon can hold them.
     """
     issues: list[Issue] = []
-    seen: dict[str, str] = {}
     for entry in lexicon.entries:
-        for form in entry.forms():
-            if form in seen:
-                issues.append(
-                    Issue("error", f"form {form!r} collides with {seen[form]!r}", entry.surface)
-                )
-            else:
-                seen[form] = entry.surface
         if not entry.categories:
             issues.append(Issue("warning", "no category codes", entry.surface))
         if entry.kind in AFFIX_KINDS and entry.productive and not entry.definition:
             issues.append(Issue("warning", "productive affix without a definition", entry.surface))
-    for word in sorted(lexicon.blocklist & set(lexicon.by_surface)):
+    for word in sorted(lexicon.blocklist & {entry.surface for entry in lexicon.entries}):
         issues.append(Issue("error", f"blocklist word {word!r} is also an entry surface", word))
     return issues
 

@@ -224,6 +224,9 @@ def decompose(normalized: str, lexicon: Lexicon, *, elongated: bool = False) -> 
 
 
 def _match_form(form: str, lexicon: Lexicon) -> list[Parse]:
+    """Every parse of form, best first, with no may-parse gate. No parse
+    repeats: (inflection, dedoubled) fixes the strip_inflection candidate,
+    the slices join to its base, and each form names one lexicon entry."""
     keyed: list[tuple[tuple, Parse]] = []
     for cand_index, (base, inflection, dedoubled) in enumerate(strip_inflection(form)):
         if base in lexicon.blocklist:
@@ -236,18 +239,7 @@ def _match_form(form: str, lexicon: Lexicon) -> list[Parse]:
         for parse in _affix_splits(form, base, inflection, dedoubled, lexicon):
             keyed.append((_sort_key(parse, cand_index), parse))
     keyed.sort(key=lambda kp: kp[0])
-    out = []
-    seen = set()
-    for _, parse in keyed:
-        dedup = (
-            tuple((s.slice, s.role) for s in parse.segments),
-            parse.inflection,
-            parse.dedoubled,
-        )
-        if dedup not in seen:
-            seen.add(dedup)
-            out.append(parse)
-    return out
+    return [parse for _, parse in keyed]
 
 
 def _sort_key(parse: Parse, cand_index: int) -> tuple:

@@ -13,6 +13,17 @@ from cryptolex import Lexicon, LexiconEntry, build_lexicon, load_seed_lexicon
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 definitions = st.text() | st.text(alphabet=LINE_BREAKS + "a\t ")
 
+# lines json.loads rejects without a JSONDecodeError: an integer past
+# int()'s digit limit (a plain ValueError) and nesting past the recursion
+# limit (a RecursionError). BEYOND_JSON_PARSER pairs each with the reason a
+# JSON Lines reader gives.
+LONG_INTEGER_LINE = '{"n": ' + "1" * 5000 + "}"
+DEEP_NESTING_LINE = "[" * 100_000
+BEYOND_JSON_PARSER = [
+    pytest.param(LONG_INTEGER_LINE, "integer too long", id="long-integer"),
+    pytest.param(DEEP_NESTING_LINE, "nested too deeply", id="deep-nesting"),
+]
+
 
 def week_ts(year: int, week: int, day: int = 3, hour: int = 12) -> int:
     """Unix timestamp inside the given ISO week (UTC)."""

@@ -10,7 +10,7 @@ from cryptolex import corpus as corpus_module
 from cryptolex import entries_to_jsonl, lexicon_from_tsv
 from cryptolex.cli import build_parser, main
 
-from conftest import make_post, week_ts, write_jsonl
+from conftest import BEYOND_JSON_PARSER, make_post, week_ts, write_jsonl
 
 
 @pytest.fixture(autouse=True)
@@ -287,6 +287,21 @@ class TestExitContract:
         argv = ["discover", "--input", str(corpus), "--background", str(background), "--workers", "2"]
         assert main(argv) == 1
         assert "error: a worker process died" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, reason", BEYOND_JSON_PARSER)
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_json_beyond_the_parser_is_a_malformed_line(
+        self, tmp_path, capsys, raw, reason, workers
+    ):
+        good = json.dumps(make_post("p1", "u", week_ts(2020, 1), "wristcel"))
+        path = tmp_path / "posts.jsonl"
+        path.write_text(f"{good}\n{raw}\n{good}\n", encoding="utf-8")
+        argv = ["trajectory", "--all", "--input", str(path), "--workers", workers]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"skipped 1 malformed lines (first: line 2: invalid JSON ({reason}))" in err
+        assert main(argv + ["--strict"]) == 1
+        assert capsys.readouterr().err == f"error: line 2: invalid JSON ({reason})\n"
 
     def test_workers_default_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

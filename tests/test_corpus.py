@@ -16,25 +16,24 @@ from cryptolex import (
     ReadReport,
     annotate_text,
     annotation_json,
-    build_affix_table,
     build_frequency_table,
     build_lexicon,
     iso_week,
     merge,
     parse_post_line,
     read_posts,
-    scan_affix_table,
     scan_annotations,
     scan_frequency_table,
+    scan_tables,
     scan_usage,
     tokenize,
     week_index,
 )
 from cryptolex import corpus
-from cryptolex.corpus import MAX_CREATED_UTC, _scan_tables, scan_annotation_lines
+from cryptolex.corpus import MAX_CREATED_UTC, scan_annotation_lines
 from cryptolex.lexicon import AFFIX_KINDS
 
-from conftest import make_post, week_ts, write_jsonl
+from conftest import DEEP_NESTING_LINE, LONG_INTEGER_LINE, make_post, week_ts, write_jsonl
 
 GOOD = {"id": "p1", "user": "u1", "forum": "f", "created_utc": 1577836800, "text": "hi"}
 
@@ -226,23 +225,23 @@ class TestFrequencyTable:
         assert forward.canonical_json() == backward.canonical_json()
 
 
+def affix_table(text: str, lexicon):
+    """The affix scan of a one-post corpus."""
+    return scan_tables([[jline({**GOOD, "text": text})]], lexicon)[0]
+
+
 class TestAffixTable:
     def test_productive_affixes_counted(self, seed_lexicon):
-        posts = [
-            parse_post_line(jline({**GOOD, "text": "looksmaxxing and heightmogging chadpreet"}))
-        ]
-        table = build_affix_table(posts, seed_lexicon)
+        table = affix_table("looksmaxxing and heightmogging chadpreet", seed_lexicon)
         assert table.counts == {"maxx": 1, "mog": 1, "chad": 1}
         assert table.doc_count == 1
 
     def test_variant_counts_toward_canonical_surface(self, seed_lexicon):
-        posts = [parse_post_line(jline({**GOOD, "text": "mogging deppmogged"}))]
-        table = build_affix_table(posts, seed_lexicon)
+        table = affix_table("mogging deppmogged", seed_lexicon)
         assert table.counts == {"mog": 2}
 
     def test_plain_roots_not_counted(self, seed_lexicon):
-        posts = [parse_post_line(jline({**GOOD, "text": "incel betabuxxing stacy"}))]
-        assert build_affix_table(posts, seed_lexicon).counts == {}
+        assert affix_table("incel betabuxxing stacy", seed_lexicon).counts == {}
 
 
 class TestWeeks:
@@ -289,10 +288,9 @@ class TestShardedScans:
             scan_frequency_table(path, workers=1, chunk_lines=7).canonical_json()
             == build_frequency_table(posts).canonical_json()
         )
-        assert (
-            scan_affix_table(path, seed_lexicon, workers=1, chunk_lines=7).canonical_json()
-            == build_affix_table(posts, seed_lexicon).canonical_json()
-        )
+        chunked = scan_tables([path], seed_lexicon, workers=1, chunk_lines=7)[0]
+        whole = scan_tables([path], seed_lexicon, workers=1, chunk_lines=len(posts))[0]
+        assert chunked.canonical_json() == whole.canonical_json()
 
     def test_worker_count_does_not_change_result(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path)
@@ -300,8 +298,8 @@ class TestShardedScans:
         four = scan_frequency_table(path, workers=4, chunk_lines=5)
         assert one.canonical_json() == four.canonical_json()
         assert (
-            scan_affix_table(path, seed_lexicon, workers=1, chunk_lines=5).canonical_json()
-            == scan_affix_table(path, seed_lexicon, workers=4, chunk_lines=5).canonical_json()
+            scan_tables([path], seed_lexicon, workers=1, chunk_lines=5)[0].canonical_json()
+            == scan_tables([path], seed_lexicon, workers=4, chunk_lines=5)[0].canonical_json()
         )
 
     def test_scan_usage_cells(self, tmp_path, seed_lexicon):
@@ -405,7 +403,7 @@ class TestShardedScans:
 
 
 class TestTwoSourceScan:
-    """_scan_tables reads target and background through one pool."""
+    """scan_tables reads target and background through one pool."""
 
     def test_background_error_names_its_line(self, tmp_path, seed_lexicon):
         target = write_jsonl(tmp_path / "target.jsonl", [GOOD, {**GOOD, "id": "p2"}])
@@ -417,7 +415,7 @@ class TestTwoSourceScan:
             for workers in (1, 2):
                 sources = [target, background]
                 with pytest.raises(PostFormatError) as err:
-                    _scan_tables(sources, lexicon, workers=workers, strictness="strict", chunk_lines=1)
+                    scan_tables(sources, lexicon, workers=workers, strictness="strict", chunk_lines=1)
                 assert err.value.line == 3
                 assert str(err.value) == str(expected.value)
 
@@ -427,9 +425,9 @@ class TestTwoSourceScan:
         background = tmp_path / "background.jsonl"
         background.write_text("broken\n", encoding="utf-8")
         with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
-            _scan_tables([target, background], workers=2, strictness="strict", chunk_lines=1)
+            scan_tables([target, background], workers=2, strictness="strict", chunk_lines=1)
         report = ReadReport()
-        tables = _scan_tables([target, background], workers=2, chunk_lines=1, report=report)
+        tables = scan_tables([target, background], workers=2, chunk_lines=1, report=report)
         assert [t.doc_count for t in tables] == [3, 0]
         assert tables[1] == FrequencyTable()
         assert (report.lines, report.skipped) == (5, 2)
@@ -445,12 +443,12 @@ class TestTwoSourceScan:
                 # at two workers the missing file is opened while the target's
                 # chunks are still in flight
                 with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
-                    _scan_tables(
+                    scan_tables(
                         [target, missing], lexicon, workers=workers, strictness="strict", chunk_lines=1
                     )
                 report = ReadReport()
                 with pytest.raises(FileNotFoundError):
-                    _scan_tables([target, missing], lexicon, workers=workers, chunk_lines=1, report=report)
+                    scan_tables([target, missing], lexicon, workers=workers, chunk_lines=1, report=report)
                 assert (report.lines, report.skipped) == (4, 1)
 
 
@@ -485,7 +483,17 @@ class TestEarlyEnd:
         assert len(list(tmp_path.iterdir())) <= 4
 
 
-MALFORMED = ["", "  ", "broken", "{", jline({"id": "x"}), jline([1]), jline({**GOOD, "created_utc": -1})]
+MALFORMED = [
+    "",
+    "  ",
+    "broken",
+    "{",
+    jline({"id": "x"}),
+    jline([1]),
+    jline({**GOOD, "created_utc": -1}),
+    LONG_INTEGER_LINE,
+    DEEP_NESTING_LINE,
+]
 
 CODED_TEXTS = ["wristcel cope", "the gymcels lifts", "mogging sooo hard", "currycel mogg"]
 
@@ -526,7 +534,7 @@ def rendered(parts) -> tuple[str, int, int, int]:
 
 SCANS = {
     "words": lambda source, lex, **kw: scan_frequency_table(source, **kw).canonical_json(),
-    "affixes": lambda source, lex, **kw: scan_affix_table(source, lex, **kw).canonical_json(),
+    "affixes": lambda source, lex, **kw: scan_tables([source], lex, **kw)[0].canonical_json(),
     "usage": lambda source, lex, **kw: scan_usage(source, lex, **kw),
     "user_usage": lambda source, lex, **kw: scan_usage(source, lex, user="u2", **kw),
     "annotations": lambda source, lex, **kw: list(scan_annotations(source, lex, **kw)),
@@ -572,9 +580,9 @@ def reference_scans(posts, lexicon) -> dict:
 
 # scans of a target and a background source through one pool
 PAIR_SCANS = {
-    "words": lambda sources, lex, **kw: [t.canonical_json() for t in _scan_tables(sources, **kw)],
+    "words": lambda sources, lex, **kw: [t.canonical_json() for t in scan_tables(sources, **kw)],
     "affixes": lambda sources, lex, **kw: [
-        t.canonical_json() for t in _scan_tables(sources, lex, **kw)
+        t.canonical_json() for t in scan_tables(sources, lex, **kw)
     ],
 }
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from cryptolex import (
     CATEGORIES,
     KINDS,
+    Lexicon,
     LexiconEntry,
     LexiconFormatError,
     annotate_text,
@@ -22,7 +23,7 @@ from cryptolex import (
 )
 from cryptolex.lexicon import TSV_COLUMNS, _tsv_safe
 
-from conftest import definitions
+from conftest import BEYOND_JSON_PARSER, definitions
 
 
 def entry(surface, kind="root", **kw):
@@ -98,6 +99,13 @@ class TestLoading:
         assert exc.value.line == 2
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("raw, reason", BEYOND_JSON_PARSER)
+    def test_json_beyond_the_parser_names_its_line(self, raw, reason):
+        text = '{"surface": "incel", "kind": "root"}\n' + raw + "\n"
+        with pytest.raises(LexiconFormatError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == f"line 2: invalid JSON ({reason})"
+
     def test_unknown_field_rejected(self):
         text = json.dumps({"surface": "incel", "kind": "root", "weight": 3})
         with pytest.raises(LexiconFormatError, match="weight"):
@@ -107,11 +115,15 @@ class TestLoading:
         with pytest.raises(LexiconFormatError):
             load_lexicon('["incel"]')
 
+    # each collision is rejected with the same message whether the entries
+    # come from JSON Lines or go straight into a Lexicon
     def test_duplicate_surface_across_entries_rejected(self):
         rows = [{"surface": "incel", "kind": "root"}] * 2
         text = "\n".join(json.dumps(r) for r in rows)
-        with pytest.raises(LexiconFormatError, match="incel"):
-            load_lexicon(text)
+        for build in (lambda: load_lexicon(text), lambda: Lexicon((entry("incel"),) * 2)):
+            with pytest.raises(LexiconFormatError) as exc:
+                build()
+            assert str(exc.value) == "duplicate surface 'incel'"
 
     def test_variant_colliding_with_surface_rejected(self):
         rows = [
@@ -119,8 +131,23 @@ class TestLoading:
             {"surface": "mogg", "kind": "root"},
         ]
         text = "\n".join(json.dumps(r) for r in rows)
-        with pytest.raises(LexiconFormatError):
-            load_lexicon(text)
+        entries = (entry("mog", "suffix", variants=("mogg",)), entry("mogg"))
+        for build in (lambda: load_lexicon(text), lambda: Lexicon(entries)):
+            with pytest.raises(LexiconFormatError) as exc:
+                build()
+            assert str(exc.value) == "variant 'mogg' of 'mog' collides with surface 'mogg'"
+
+    def test_variant_colliding_with_variant_rejected(self):
+        rows = [
+            {"surface": "mog", "kind": "suffix", "variants": ["mogg"]},
+            {"surface": "mogger", "kind": "root", "variants": ["mogg"]},
+        ]
+        text = "\n".join(json.dumps(r) for r in rows)
+        entries = (entry("mog", "suffix", variants=("mogg",)), entry("mogger", variants=("mogg",)))
+        for build in (lambda: load_lexicon(text), lambda: Lexicon(entries)):
+            with pytest.raises(LexiconFormatError) as exc:
+                build()
+            assert str(exc.value) == "variant 'mogg' of 'mogger' collides with variant of 'mog'"
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "lex.jsonl"

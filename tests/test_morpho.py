@@ -399,9 +399,14 @@ def assert_gate_sound(form, lexicon):
     if not lexicon.may_parse.search(form):
         assert morpho._match_form(form, lexicon) == [], form
     for elongated in (False, True):
-        assert decompose(form, lexicon, elongated=elongated) == ungated_decompose(
-            form, lexicon, elongated=elongated
-        ), (form, elongated)
+        parses = decompose(form, lexicon, elongated=elongated)
+        assert parses == ungated_decompose(form, lexicon, elongated=elongated), (form, elongated)
+        # no parse repeats, so the segmenter needs no dedup pass
+        keys = {
+            (tuple((s.slice, s.role) for s in p.segments), p.inflection, p.dedoubled)
+            for p in parses
+        }
+        assert len(keys) == len(parses), (form, elongated)
 
 
 # Lexicon forms over a four-character alphabet, so that surfaces, variants,
