@@ -150,7 +150,7 @@ def run_lexicon(args) -> int:
 def run_annotate(args) -> int:
     _warn_banner()
     lexicon = _load_cli_lexicon(args)
-    posts = tokens = matched = 0
+    tokens = matched = 0
     if args.plain:
         text = Path(args.input).read_text(encoding="utf-8")
         ann = annotate_text("plain", text, lexicon)
@@ -162,34 +162,32 @@ def run_annotate(args) -> int:
             print("matched terms: " + ", ".join(terms), file=sys.stderr)
     else:
         report = ReadReport()
-        strictness = "strict" if args.strict else "skip"
         with _open_output(args.output) as out:
-            for text, n_posts, n_tokens, n_matched in scan_annotation_lines(
-                Path(args.input),
-                lexicon,
-                workers=args.workers,
-                strictness=strictness,
-                report=report,
+            for text, n_tokens, n_matched in scan_annotation_lines(
+                Path(args.input), lexicon, workers=args.workers, strict=args.strict, report=report
             ):
                 out.write(text)
-                posts += n_posts
                 tokens += n_tokens
                 matched += n_matched
         _report_skips(report)
+        posts = report.parsed
     rate = matched / tokens if tokens else 0.0
     print(f"posts {posts} tokens {tokens} matched {matched} rate {rate:.6f}", file=sys.stderr)
     return 0
 
 
 def run_discover(args) -> int:
-    strictness = "strict" if args.strict else "skip"
+    for flag, value in (("--lexicon", args.lexicon), ("--blocklist", args.blocklist)):
+        if value is not None and not args.affixes:
+            print(f"cryptolex discover: error: {flag} needs --affixes", file=sys.stderr)
+            return 2
     report = ReadReport()
     lexicon = _load_cli_lexicon(args) if args.affixes else None
     target, background = scan_tables(
         (Path(args.input), Path(args.background)),
         lexicon,
         workers=args.workers,
-        strictness=strictness,
+        strict=args.strict,
         report=report,
     )
     rows = log_ratio_rank(
@@ -217,13 +215,12 @@ def run_discover(args) -> int:
 def run_trajectory(args) -> int:
     _warn_banner()
     lexicon = _load_cli_lexicon(args)
-    strictness = "strict" if args.strict else "skip"
     report = ReadReport()
     usage = scan_usage(
         Path(args.input),
         lexicon,
         workers=args.workers,
-        strictness=strictness,
+        strict=args.strict,
         report=report,
         user=args.user,
     )

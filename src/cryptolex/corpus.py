@@ -12,10 +12,8 @@ import json
 import multiprocessing
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -145,12 +143,6 @@ def _as_lines(source: Path | str | Iterable[str | bytes]) -> Iterator[str | byte
         yield from source
 
 
-def _is_strict(strictness: str) -> bool:
-    if strictness not in ("strict", "skip"):
-        raise ValueError(f"strictness must be 'strict' or 'skip', got {strictness!r}")
-    return strictness == "strict"
-
-
 def _parse_lines(
     numbered: Iterable[tuple[int, str | bytes]], strict: bool, report: ReadReport
 ) -> Iterator[Post]:
@@ -171,15 +163,15 @@ def _parse_lines(
 
 def read_posts(
     source: Path | str | Iterable[str | bytes],
-    strictness: str = "skip",
+    *,
+    strict: bool = False,
     report: ReadReport | None = None,
 ) -> Iterator[Post]:
     """Yield posts in file order.
 
-    skip mode drops malformed lines and tallies them in report; strict
-    mode raises PostFormatError on the first bad line.
+    By default malformed lines are dropped and tallied in report; with
+    strict=True the first bad line raises PostFormatError.
     """
-    strict = _is_strict(strictness)  # checked at the call, not on the first next()
     report = ReadReport() if report is None else report
     return _parse_lines(enumerate(_as_lines(source), start=1), strict, report)
 
@@ -201,15 +193,23 @@ class FrequencyTable:
             ensure_ascii=False,
         )
 
+    def add(self, later: FrequencyTable) -> None:
+        """Fold in the table of the input that follows this one, in place."""
+        counts = self.counts
+        if counts:
+            get = counts.get
+            for word, n in later.counts.items():
+                counts[word] = get(word, 0) + n
+        else:
+            counts.update(later.counts)  # an empty table copies in one C call
+        self.total_tokens += later.total_tokens
+        self.doc_count += later.doc_count
+
 
 def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
-    counts = Counter(a.counts)
-    counts.update(b.counts)
-    return FrequencyTable(
-        counts=dict(counts),
-        total_tokens=a.total_tokens + b.total_tokens,
-        doc_count=a.doc_count + b.doc_count,
-    )
+    merged = FrequencyTable(dict(a.counts), a.total_tokens, a.doc_count)
+    merged.add(b)
+    return merged
 
 
 def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
@@ -284,20 +284,19 @@ def fold_usage(
 
 @dataclass(frozen=True)
 class _ScanState:
-    """What a scan's chunk functions read: its lexicon, its strictness, its
-    parse cache and the one user a usage scan keeps (None keeps all), one
-    value per scan."""
+    """What a scan's chunk functions read: its lexicon, whether it is
+    strict, the one user a usage scan keeps (None keeps all), the event a
+    pooled scan sets once it has ended early (None in process) and its
+    parse cache, one value per scan."""
 
     lexicon: Lexicon | None
     strict: bool
     user: str | None = None
+    stop: multiprocessing.synchronize.Event | None = None
     cache: dict = field(default_factory=dict)
 
 
 _state: _ScanState | None = None
-# in a pool worker: set once the scan has ended early, so chunks that were
-# already handed to the pool are skipped
-_stop = None
 
 
 def _init_worker(state: _ScanState | None) -> None:
@@ -305,16 +304,10 @@ def _init_worker(state: _ScanState | None) -> None:
     _state = state
 
 
-def _init_pool_worker(state: _ScanState, stop) -> None:
-    global _stop
-    _stop = stop
-    _init_worker(state)
-
-
 def _run_unless_stopped(chunk_fn, chunk):
     # cancel_futures reaches only the chunks still in the pool's own queue;
     # the workers' call queue holds a few more that only this check skips
-    return None if _stop.is_set() else chunk_fn(chunk)
+    return None if _state.stop.is_set() else chunk_fn(chunk)
 
 
 def _chunk_posts(chunk: tuple[int, list[str | bytes]], report: ReadReport) -> list[Post]:
@@ -357,7 +350,7 @@ def _scan_annotations_chunk(chunk) -> tuple[list[Annotation], ReadReport]:
     return list(_annotate_posts(chunk, report)), report
 
 
-def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int, int], ReadReport]:
+def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
     # rendered in the worker, so the parent only writes text: unpickling and
     # rendering an Annotation per post kept the parent as busy as a worker.
     # perfbench/tracing.py wraps this name and the module's annotate_text.
@@ -368,7 +361,7 @@ def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int, int], ReadReport]:
         lines.append(annotation_json(ann) + "\n")
         tokens += ann.token_count
         matched += ann.matched_count
-    return ("".join(lines), len(lines), tokens, matched), report
+    return ("".join(lines), tokens, matched), report
 
 
 def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str | bytes]]]:
@@ -403,9 +396,9 @@ def _run_chunks(
             if _state is state:
                 _init_worker(None)
         return
-    stop = multiprocessing.Event()
+    state = replace(state, stop=multiprocessing.Event())
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_pool_worker, initargs=(state, stop)
+        max_workers=workers, initializer=_init_worker, initargs=(state,)
     ) as pool:
         # chunks in flight: each holds its lines in this process until its
         # result comes back, and 3 x workers raised discover's peak memory
@@ -437,7 +430,7 @@ def _run_chunks(
             # a chunk's error, or a consumer that stopped early: the chunks
             # not yet started would only be thrown away, so leaving the pool
             # waits for the running ones alone
-            stop.set()
+            state.stop.set()
             pool.shutdown(cancel_futures=True)
             raise
 
@@ -447,9 +440,10 @@ def _map_chunks(
     chunk_fn,
     lexicon: Lexicon | None,
     workers: int,
-    strictness: str,
     chunk_lines: int,
     report: ReadReport | None,
+    *,
+    strict: bool = False,
     user: str | None = None,
 ) -> Iterator[tuple[int, object]]:
     """Run chunk_fn over the line chunks of each source in turn, through
@@ -459,7 +453,7 @@ def _map_chunks(
     In-flight futures are capped so the parent never buffers more than a
     bounded window of lines regardless of corpus size.
     """
-    state = _ScanState(lexicon, _is_strict(strictness), user)
+    state = _ScanState(lexicon, strict, user)
     tagged = (
         (index, chunk)
         for index, source in enumerate(sources)
@@ -476,7 +470,7 @@ def scan_tables(
     lexicon: Lexicon | None = None,
     *,
     workers: int = 1,
-    strictness: str = "skip",
+    strict: bool = False,
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> list[FrequencyTable]:
@@ -484,20 +478,14 @@ def scan_tables(
     normalized word counts, or productive-affix counts when a lexicon is
     given. report tallies every source's lines, in source order.
 
-    Chunk tables fold in place into one Counter per source, which is
-    dropped once it becomes its table; merge() would copy the whole
-    accumulated table for every chunk."""
+    Chunk tables fold in place into their source's table; merge() would
+    copy the whole accumulated table for every chunk."""
     chunk_fn = _scan_words_chunk if lexicon is None else _scan_affixes_chunk
     tables = [FrequencyTable() for _ in sources]
-    parts = _map_chunks(sources, chunk_fn, lexicon, workers, strictness, chunk_lines, report)
-    for index, group in groupby(parts, key=itemgetter(0)):
-        counts: Counter[str] = Counter()
-        table = tables[index]
-        for _, part in group:
-            counts.update(part.counts)
-            table.total_tokens += part.total_tokens
-            table.doc_count += part.doc_count
-        table.counts = dict(counts)
+    for index, part in _map_chunks(
+        sources, chunk_fn, lexicon, workers, chunk_lines, report, strict=strict
+    ):
+        tables[index].add(part)
     return tables
 
 
@@ -505,12 +493,12 @@ def scan_frequency_table(
     source,
     *,
     workers: int = 1,
-    strictness: str = "skip",
+    strict: bool = False,
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
     return scan_tables(
-        [source], workers=workers, strictness=strictness, report=report, chunk_lines=chunk_lines
+        [source], workers=workers, strict=strict, report=report, chunk_lines=chunk_lines
     )[0]
 
 
@@ -519,7 +507,7 @@ def scan_usage(
     lexicon: Lexicon,
     *,
     workers: int = 1,
-    strictness: str = "skip",
+    strict: bool = False,
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
     user: str | None = None,
@@ -529,7 +517,7 @@ def scan_usage(
     line."""
     usage: dict[tuple[str, str], list[int]] = {}
     for _, part in _map_chunks(
-        [source], _scan_usage_chunk, lexicon, workers, strictness, chunk_lines, report, user
+        [source], _scan_usage_chunk, lexicon, workers, chunk_lines, report, strict=strict, user=user
     ):
         for key, (n_posts, n_tokens, n_matched) in part.items():
             cell = usage.setdefault(key, [0, 0, 0])
@@ -544,13 +532,13 @@ def scan_annotations(
     lexicon: Lexicon,
     *,
     workers: int = 1,
-    strictness: str = "skip",
+    strict: bool = False,
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> Iterator[Annotation]:
     """Annotate a corpus, yielding annotations in input order."""
     for _, anns in _map_chunks(
-        [source], _scan_annotations_chunk, lexicon, workers, strictness, chunk_lines, report
+        [source], _scan_annotations_chunk, lexicon, workers, chunk_lines, report, strict=strict
     ):
         yield from anns
 
@@ -560,15 +548,16 @@ def scan_annotation_lines(
     lexicon: Lexicon,
     *,
     workers: int = 1,
-    strictness: str = "skip",
+    strict: bool = False,
     report: ReadReport | None = None,
     chunk_lines: int = DEFAULT_CHUNK_LINES,
-) -> Iterator[tuple[str, int, int, int]]:
-    """scan_annotations rendered, one item per chunk in input order: the
-    chunk's annotation_json lines, each ending in "\\n", and its post,
-    token and matched counts. Workers render, so the caller receives text
-    rather than an Annotation per post."""
+) -> Iterator[tuple[str, int, int]]:
+    """scan_annotations rendered, one (text, tokens, matched) item per
+    chunk in input order: the chunk's annotation_json lines, each ending
+    in "\\n", and its token and matched counts; report.parsed counts the
+    posts. Workers render, so the caller receives text rather than an
+    Annotation per post."""
     for _, lines in _map_chunks(
-        [source], _scan_annotate_chunk, lexicon, workers, strictness, chunk_lines, report
+        [source], _scan_annotate_chunk, lexicon, workers, chunk_lines, report, strict=strict
     ):
         yield lines

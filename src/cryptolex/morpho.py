@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry
 
@@ -120,24 +119,20 @@ def _words(text: str) -> tuple[list[str], list[str]]:
             return [w for line in lines for w in line[0]], [w for line in lines for w in line[1]]
         tokens = tokenize(text)
         return [t.raw.lower() for t in tokens], [t.normalized for t in tokens]
-    read, lowered, collapsed = _forms(text)
-    words = read(lowered)
-    return words, words if collapsed == lowered else read(collapsed)
-
-
-def _forms(text: str) -> tuple[Callable[[str], list[str]], str, str]:
-    """The word read for text, its lowercase, and that lowercase with each
-    letter run of three or more collapsed to two (equal to it when none)."""
     lowered = text.lower()
-    # lowered text is ASCII when the text is, and for a few letters beyond,
-    # such as the Kelvin sign; collapsing keeps it ASCII
-    if lowered.isascii():
-        if _RUN3.search(lowered) is None or _ASCII_LETTER_RUN3.search(lowered) is None:
-            return _ascii_words, lowered, lowered
-        return _ascii_words, lowered, _ASCII_LETTER_RUN3.sub(r"\1\1", lowered)
+    words = _read(lowered)
+    collapsed = _collapsed(lowered)
+    return words, words if collapsed == lowered else _read(collapsed)
+
+
+def _collapsed(lowered: str) -> str:
+    """Lowercased text with each letter run of three or more collapsed to
+    two (equal to it when none)."""
     if _RUN3.search(lowered) is None:
-        return _WORD.findall, lowered, lowered
-    return _WORD.findall, lowered, _RUN3.sub(_cut_letter_run, lowered)
+        return lowered
+    if lowered.isascii():
+        return _ASCII_LETTER_RUN3.sub(r"\1\1", lowered)
+    return _RUN3.sub(_cut_letter_run, lowered)
 
 
 def _cut_letter_run(run: re.Match) -> str:
@@ -147,8 +142,12 @@ def _cut_letter_run(run: re.Match) -> str:
     return found[:2] if LETTER_RUN3.match(found) else found
 
 
-def _ascii_words(text: str) -> list[str]:
-    return text.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split()
+def _read(lowered: str) -> list[str]:
+    """_WORD's words of lowercased text, through the byte table when the
+    text is ASCII."""
+    if lowered.isascii():
+        return lowered.encode("ascii").translate(_ASCII_WORD_BYTES).decode("ascii").split()
+    return _WORD.findall(lowered)
 
 
 def normalized_words(text: str) -> list[str]:
@@ -156,8 +155,7 @@ def normalized_words(text: str) -> list[str]:
     read once, from the collapsed text."""
     if "İ" in text or "Σ" in text:
         return _words(text)[1]
-    read, _, collapsed = _forms(text)
-    return read(collapsed)
+    return _read(_collapsed(text.lower()))
 
 
 def _ends_doubled_consonant(base: str) -> bool:
@@ -183,13 +181,7 @@ def strip_inflection(normalized: str) -> list[tuple[str, str, bool]]:
                 candidates.append((base, ending, False))
                 if _ends_doubled_consonant(base):
                     candidates.append((base[:-1], ending, True))
-    seen = set()
-    ordered = []
-    for cand in sorted(candidates, key=lambda c: -len(c[0])):
-        if cand not in seen:
-            seen.add(cand)
-            ordered.append(cand)
-    return ordered
+    return sorted(candidates, key=lambda c: -len(c[0]))
 
 
 def reconstruct(parse: Parse) -> str:

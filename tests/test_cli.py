@@ -231,6 +231,15 @@ class TestDiscoverCommand:
             ["discover", "--input", str(corpus), "--background", str(background), "--alpha", "0"]
         ) == 2
 
+    @pytest.mark.parametrize("flag", ["--lexicon", "--blocklist"])
+    def test_lexicon_flag_without_affixes_is_usage_error(
+        self, corpus, background, tmp_path, flag, capsys
+    ):
+        # the flag is refused before its file is read, so a missing one is no excuse
+        args = ["discover", "--input", str(corpus), "--background", str(background)]
+        assert main([*args, flag, str(tmp_path / "missing.jsonl")]) == 2
+        assert f"{flag} needs --affixes" in capsys.readouterr().err
+
 
 class TestTrajectoryCommand:
     def test_single_user_csv(self, corpus, capsys):

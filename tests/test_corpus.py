@@ -124,13 +124,13 @@ class TestCreatedRange:
         assert usage_report == report
         assert (("u1", "9999-W52") in usage) == valid
         if valid:
-            assert list(read_posts(text, "strict"))[1].created_utc == created
+            assert list(read_posts(text, strict=True))[1].created_utc == created
             return
         assert report.first_error.startswith("line 2: field 'created_utc' is out of range")
         for scan in (
-            lambda: list(read_posts(text, "strict")),
-            lambda: scan_usage(text, seed_lexicon, strictness="strict", chunk_lines=1),
-            lambda: scan_frequency_table(text, workers=2, strictness="strict", chunk_lines=1),
+            lambda: list(read_posts(text, strict=True)),
+            lambda: scan_usage(text, seed_lexicon, strict=True, chunk_lines=1),
+            lambda: scan_frequency_table(text, workers=2, strict=True, chunk_lines=1),
         ):
             with pytest.raises(PostFormatError, match="line 2: field 'created_utc' is out of"):
                 scan()
@@ -148,7 +148,12 @@ class TestReadPosts:
     def test_strict_mode_raises(self):
         text = jline(GOOD) + "\nbroken\n"
         with pytest.raises(PostFormatError, match="line 2"):
-            list(read_posts(text, strictness="strict"))
+            list(read_posts(text, strict=True))
+
+    def test_strict_is_keyword_only(self):
+        # a mode passed by position, as in read_posts(text, "skip"), is truthy
+        with pytest.raises(TypeError):
+            read_posts(jline(GOOD), "skip")
 
     def test_from_file(self, tmp_path):
         path = write_jsonl(tmp_path / "posts.jsonl", [GOOD])
@@ -176,10 +181,6 @@ class TestReadPosts:
         assert [p.id for p in posts] == ["p1", "p2"]
         assert (report.lines, report.parsed, report.skipped) == (3, 2, 1)
 
-    def test_unknown_strictness(self):
-        with pytest.raises(ValueError):
-            list(read_posts("", strictness="hope"))
-
 
 class TestFrequencyTable:
     def test_counts_normalized_tokens(self):
@@ -199,10 +200,18 @@ class TestFrequencyTable:
     def test_merge_adds(self):
         a = FrequencyTable(counts={"x": 1}, total_tokens=1, doc_count=1)
         b = FrequencyTable(counts={"x": 2, "y": 1}, total_tokens=3, doc_count=2)
-        merged = merge(a, b)
-        assert merged.counts == {"x": 3, "y": 1}
-        assert merged.total_tokens == 4
-        assert merged.doc_count == 3
+        expected = FrequencyTable(counts={"x": 3, "y": 1}, total_tokens=4, doc_count=3)
+        assert merge(a, b) == expected
+        # merge leaves both inputs as they were
+        assert a == FrequencyTable(counts={"x": 1}, total_tokens=1, doc_count=1)
+        assert b == FrequencyTable(counts={"x": 2, "y": 1}, total_tokens=3, doc_count=2)
+        for first, second in ((a, b), (b, a)):
+            folded = FrequencyTable()
+            for table in (first, second):
+                folded.add(table)
+            assert folded == expected
+        # and add leaves the table it folds in as it was
+        assert a.counts == {"x": 1} and b.counts == {"x": 2, "y": 1}
 
     @given(
         st.lists(
@@ -216,6 +225,7 @@ class TestFrequencyTable:
             FrequencyTable(counts=dict(c), total_tokens=sum(c.values()), doc_count=1)
             for (c,) in parts
         ]
+        snapshots = [t.canonical_json() for t in tables]
         forward = tables[0]
         for t in tables[1:]:
             forward = merge(forward, t)
@@ -223,6 +233,13 @@ class TestFrequencyTable:
         for t in reversed(tables[:-1]):
             backward = merge(backward, t)
         assert forward.canonical_json() == backward.canonical_json()
+        # the scans' in-place fold, from an empty table, in both orders
+        for order in (tables, tables[::-1]):
+            folded = FrequencyTable()
+            for t in order:
+                folded.add(t)
+            assert folded.canonical_json() == forward.canonical_json()
+        assert [t.canonical_json() for t in tables] == snapshots
 
 
 def affix_table(text: str, lexicon):
@@ -275,11 +292,6 @@ def corpus_file(tmp_path, n=40):
     return write_jsonl(tmp_path / "corpus.jsonl", rows)
 
 
-def test_read_posts_rejects_bad_strictness_at_call():
-    with pytest.raises(ValueError, match="strictness"):
-        read_posts([], strictness="lenient")
-
-
 class TestShardedScans:
     def test_matches_single_pass_build(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path)
@@ -324,7 +336,7 @@ class TestShardedScans:
         path = tmp_path / "bad.jsonl"
         path.write_text(jline(GOOD) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(PostFormatError, match="line 2"):
-            scan_frequency_table(path, workers=2, strictness="strict", chunk_lines=1)
+            scan_frequency_table(path, workers=2, strict=True, chunk_lines=1)
 
     def test_invalid_utf8_line_skipped(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -353,7 +365,7 @@ class TestShardedScans:
         path.write_text(jline(GOOD) + "\nbroken\n" + jline({**GOOD, "id": "p2"}) + "\n")
         skipping = scan_annotations(path, seed_lexicon, chunk_lines=1)
         assert next(skipping).post_id == "p1"
-        strict = scan_annotations(path, seed_lexicon, strictness="strict", chunk_lines=1)
+        strict = scan_annotations(path, seed_lexicon, strict=True, chunk_lines=1)
         assert next(strict).post_id == "p1"
         assert [a.post_id for a in skipping] == ["p2"]
         with pytest.raises(PostFormatError, match="line 2"):
@@ -410,12 +422,12 @@ class TestTwoSourceScan:
         background = tmp_path / "background.jsonl"
         background.write_text(jline(GOOD) + "\n" + jline(GOOD) + "\nbroken\n", encoding="utf-8")
         with pytest.raises(PostFormatError) as expected:
-            list(read_posts(background, "strict"))
+            list(read_posts(background, strict=True))
         for lexicon in (None, seed_lexicon):
             for workers in (1, 2):
                 sources = [target, background]
                 with pytest.raises(PostFormatError) as err:
-                    scan_tables(sources, lexicon, workers=workers, strictness="strict", chunk_lines=1)
+                    scan_tables(sources, lexicon, workers=workers, strict=True, chunk_lines=1)
                 assert err.value.line == 3
                 assert str(err.value) == str(expected.value)
 
@@ -425,7 +437,7 @@ class TestTwoSourceScan:
         background = tmp_path / "background.jsonl"
         background.write_text("broken\n", encoding="utf-8")
         with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
-            scan_tables([target, background], workers=2, strictness="strict", chunk_lines=1)
+            scan_tables([target, background], workers=2, strict=True, chunk_lines=1)
         report = ReadReport()
         tables = scan_tables([target, background], workers=2, chunk_lines=1, report=report)
         assert [t.doc_count for t in tables] == [3, 0]
@@ -444,7 +456,7 @@ class TestTwoSourceScan:
                 # chunks are still in flight
                 with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
                     scan_tables(
-                        [target, missing], lexicon, workers=workers, strictness="strict", chunk_lines=1
+                        [target, missing], lexicon, workers=workers, strict=True, chunk_lines=1
                     )
                 report = ReadReport()
                 with pytest.raises(FileNotFoundError):
@@ -470,13 +482,13 @@ class TestEarlyEnd:
     def test_chunk_error_skips_queued_chunks(self, tmp_path):
         lines = ["fail"] + [str(tmp_path / f"chunk{i}") for i in range(2, 21)]
         with pytest.raises(PostFormatError, match="line 1: planted"):
-            list(corpus._map_chunks([lines], _record_chunk, None, 2, "strict", 1, None))
+            list(corpus._map_chunks([lines], _record_chunk, None, 2, 1, None, strict=True))
         # the two workers took chunks 2 and 3 as chunk 1 failed
         assert len(list(tmp_path.iterdir())) <= 2
 
     def test_consumer_stopping_early_skips_queued_chunks(self, tmp_path):
         lines = [str(tmp_path / f"chunk{i}") for i in range(1, 21)]
-        parts = corpus._map_chunks([lines], _record_chunk, None, 2, "skip", 1, None)
+        parts = corpus._map_chunks([lines], _record_chunk, None, 2, 1, None)
         assert next(parts) == (0, None)
         parts.close()
         # chunks 1 and 2 ran, and the workers had taken 3 and 4
@@ -526,10 +538,10 @@ def render_lines(items) -> str:
     return "".join(out)
 
 
-def rendered(parts) -> tuple[str, int, int, int]:
+def rendered(parts) -> tuple[str, int, int]:
     """scan_annotation_lines' chunk items, concatenated and summed."""
     parts = list(parts)
-    return ("".join(p[0] for p in parts), *(sum(p[i] for p in parts) for i in (1, 2, 3)))
+    return ("".join(p[0] for p in parts), *(sum(p[i] for p in parts) for i in (1, 2)))
 
 
 SCANS = {
@@ -571,7 +583,6 @@ def reference_scans(posts, lexicon) -> dict:
         "annotations": anns,
         "rendered": (
             "".join(annotation_json(ann) + "\n" for ann in anns),
-            len(anns),
             sum(ann.token_count for ann in anns),
             sum(ann.matched_count for ann in anns),
         ),
@@ -601,7 +612,7 @@ class Corpus:
         self.strict_error = None
         if self.bad:
             with pytest.raises(PostFormatError) as first_bad:
-                list(read_posts(self.text, "strict"))
+                list(read_posts(self.text, strict=True))
             self.strict_error = first_bad.value
 
     def sources(self):
@@ -628,7 +639,7 @@ def test_scan_invariant_to_source_workers_and_chunks(
                 assert report == reference, name
                 if target.bad:
                     with pytest.raises(PostFormatError) as err:
-                        scan(make_source(), seed_lexicon, strictness="strict", **kwargs)
+                        scan(make_source(), seed_lexicon, strict=True, **kwargs)
                     assert err.value.line == target.bad[0], name
                     assert str(err.value) == str(target.strict_error), name
     # the folded report of both sources is the sum of read_posts' reports,
@@ -653,6 +664,6 @@ def test_scan_invariant_to_source_workers_and_chunks(
                 if first.bad:
                     sources = [make_target(), make_background()]
                     with pytest.raises(PostFormatError) as err:
-                        scan(sources, seed_lexicon, strictness="strict", **kwargs)
+                        scan(sources, seed_lexicon, strict=True, **kwargs)
                     assert err.value.line == first.bad[0], name
                     assert str(err.value) == str(first.strict_error), name

@@ -133,6 +133,13 @@ class TestStripInflection:
             rebuilt = base + (base[-1] if dedoubled else "") + inflection
             assert rebuilt == token
 
+    @given(st.from_regex(r"[a-z]{0,8}([bdgmnpt])\1?(ing|ed|es|s)?", fullmatch=True))
+    def test_candidates_distinct_and_longest_first(self, token):
+        cands = strip_inflection(token)
+        assert len(set(cands)) == len(cands)
+        lengths = [len(base) for base, _, _ in cands]
+        assert lengths == sorted(lengths, reverse=True)
+
 
 class TestDecompose:
     def test_entry_beats_compositional_split(self, seed_lexicon):
