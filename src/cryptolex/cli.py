@@ -73,9 +73,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    # an empty value would read as the flag not given
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _add_lexicon_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lexicon", metavar="PATH", help="lexicon JSON Lines (default: bundled seed)")
-    parser.add_argument("--blocklist", metavar="PATH", help="blocklist file (default: bundled list)")
+    parser.add_argument("--lexicon", type=_path, metavar="PATH", help="lexicon JSON Lines (default: bundled seed)")
+    parser.add_argument("--blocklist", type=_path, metavar="PATH", help="blocklist file (default: bundled list)")
 
 
 def _usable_cpus() -> int:
@@ -261,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     lex = sub.add_parser("lexicon", help="validate, summarize, or export a lexicon")
     lex.add_argument("action", choices=("validate", "stats", "export"))
     _add_lexicon_flags(lex)
-    lex.add_argument("--output", metavar="PATH")
+    lex.add_argument("--output", type=_path, metavar="PATH")
     lex.set_defaults(handler=run_lexicon)
 
     ann = sub.add_parser("annotate", help="annotate posts (or raw text) with lexicon spans")
@@ -269,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     ann.add_argument("--plain", action="store_true", help="treat input as one raw text document")
     _add_lexicon_flags(ann)
     _add_scan_flags(ann)
-    ann.add_argument("--output", metavar="PATH")
+    ann.add_argument("--output", type=_path, metavar="PATH")
     ann.set_defaults(handler=run_annotate)
 
     dis = sub.add_parser("discover", help="rank target-corpus tokens against a background corpus")
     dis.add_argument("--input", required=True, metavar="PATH", help="target corpus JSON Lines")
     dis.add_argument("--background", required=True, metavar="PATH", help="background corpus JSON Lines")
     dis.add_argument("--affixes", action="store_true", help="rank productive affixes instead of words")
-    dis.add_argument("--stoplist", metavar="PATH", help="plain-text stoplist, one token per line")
+    dis.add_argument("--stoplist", type=_path, metavar="PATH", help="plain-text stoplist, one token per line")
     dis.add_argument("--alpha", type=_positive_float, default=0.5, help="smoothing constant (default 0.5)")
     dis.add_argument("--top-k", type=_positive_int, default=1000, help="candidate window (default 1000)")
     dis.add_argument("--min-count", type=_positive_int, default=5, help="minimum target count (default 5)")
@@ -284,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     _add_lexicon_flags(dis)
     _add_scan_flags(dis)
-    dis.add_argument("--output", metavar="PATH")
+    dis.add_argument("--output", type=_path, metavar="PATH")
     dis.set_defaults(handler=run_discover)
 
     tra = sub.add_parser("trajectory", help="weekly usage series and gap reports per user")
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     tra.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_lexicon_flags(tra)
     _add_scan_flags(tra)
-    tra.add_argument("--output", metavar="PATH")
+    tra.add_argument("--output", type=_path, metavar="PATH")
     tra.set_defaults(handler=run_trajectory)
 
     return parser

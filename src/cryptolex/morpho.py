@@ -9,9 +9,12 @@ stems under a productive affix last.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
+from json.encoder import encode_basestring  # json.dumps' string encoder, ensure_ascii=False
+from operator import is_
 
 from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry
 
@@ -31,6 +34,7 @@ _RUN3 = re.compile(r"(.)\1\1+", re.DOTALL)
 _ASCII_WORD_BYTES = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
 # LETTER_RUN3 on lowercased ASCII text, two to three times faster
 _ASCII_LETTER_RUN3 = re.compile(r"([a-z])\1\1+")
+_MISS = object()  # what a parse cache lookup gives for a word it lacks
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,25 @@ class Parse:
     inflection: str
     dedoubled: bool
     specificity: int  # 1 exact entry, 2 entry-backed stem, 3 novel stem
+
+    # Built on first use and kept with the parse, outside equality and repr,
+    # so a cached best parse builds them once however many spans it backs.
+    @cached_property
+    def categories(self) -> frozenset[str]:
+        """The union of the segment entries' categories."""
+        return frozenset(c for seg in self.segments if seg.entry for c in seg.entry.categories)
+
+    @cached_property
+    def span_json(self) -> str:
+        """The end of a span's JSON object after its term: sorted
+        categories, then segments, as json.dumps writes them."""
+        categories = ", ".join(map(encode_basestring, sorted(self.categories)))
+        segments = ", ".join(
+            f'{{"slice": {encode_basestring(seg.slice)}, "role": {encode_basestring(seg.role)}, '
+            f'"entry": {encode_basestring(seg.entry.surface) if seg.entry else "null"}}}'
+            for seg in self.segments
+        )
+        return f', "categories": [{categories}], "segments": [{segments}]}}'
 
 
 @dataclass(frozen=True)
@@ -98,31 +121,24 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _words(text: str) -> tuple[list[str], list[str]]:
-    """The one word reader: for tokens = tokenize(text), the lists
-    [t.raw.lower() for t in tokens] and [t.normalized for t in tokens],
-    read from the whole text without a Token per word.
+def _lowered_words(text: str) -> list[str]:
+    """[t.raw.lower() for t in tokenize(text)], read from the whole text
+    without a Token per word.
 
     Lowercasing a whole text keeps each code point's length and word and
-    letter status, so its words are tokenize's, but for two code points
-    that fall back to tokenize: U+0130 (İ) lowercases to two characters,
-    the second not a word character, and U+03A3 (Σ) lowercases by context
-    (final sigma), which a whole text carries across a token boundary.
-    Collapsing a letter run never moves a word boundary, so the two lists
-    align index for index. No word spans a "\\n", so a text of many lines,
-    such as a scan chunk's texts joined, is read line by line when it
-    holds either code point, and only the lines holding one fall back.
+    letter status, so its words and letter runs are tokenize's, but for
+    two code points that fall back to tokenize: U+0130 (İ) lowercases to
+    two characters, the second not a word character, and U+03A3 (Σ)
+    lowercases by context (final sigma), which a whole text carries across
+    a token boundary. No word spans a "\\n", so a text of many lines, such
+    as a scan chunk's texts joined, is read line by line when it holds
+    either code point, and only the lines holding one fall back.
     """
     if "İ" in text or "Σ" in text:
         if "\n" in text:
-            lines = [_words(line) for line in text.split("\n")]
-            return [w for line in lines for w in line[0]], [w for line in lines for w in line[1]]
-        tokens = tokenize(text)
-        return [t.raw.lower() for t in tokens], [t.normalized for t in tokens]
-    lowered = text.lower()
-    words = _read(lowered)
-    collapsed = _collapsed(lowered)
-    return words, words if collapsed == lowered else _read(collapsed)
+            return [word for line in text.split("\n") for word in _lowered_words(line)]
+        return [t.raw.lower() for t in tokenize(text)]
+    return _read(text.lower())
 
 
 def _collapsed(lowered: str) -> str:
@@ -152,9 +168,10 @@ def _read(lowered: str) -> list[str]:
 
 def normalized_words(text: str) -> list[str]:
     """The counting view of tokenize: [t.normalized for t in tokenize(text)],
-    read once, from the collapsed text."""
+    read once, from the collapsed text. Collapsing a letter run never moves
+    a word boundary."""
     if "İ" in text or "Σ" in text:
-        return _words(text)[1]
+        return [_collapsed(word) for word in _lowered_words(text)]
     return _read(_collapsed(text.lower()))
 
 
@@ -299,81 +316,54 @@ def _affix_splits(
     return parses
 
 
-def _best_parses(
-    text: str, lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
-) -> list[Parse | None]:
+def _best_parses(text: str, lexicon: Lexicon, cache: dict[str, Parse | None]) -> list[Parse | None]:
     """Each word's best parse in text order, None where nothing parses.
-    cache maps a word's (normalized, elongated) key to its best parse; a
-    miss decomposes the word and stores the result."""
-    words, norms = _words(text)
-    bests = []
-    for word, norm in zip(words, norms):
-        key = (norm, norm != word)
-        try:
-            best = cache[key]
-        except KeyError:
-            parses = decompose(norm, lexicon, elongated=key[1])
-            best = cache[key] = parses[0] if parses else None
-        bests.append(best)
+    cache maps a lowercased word to its best parse; only a miss collapses
+    the word, whose elongated flag follows, and decomposes it."""
+    words = _lowered_words(text)
+    bests = list(map(cache.get, words, repeat(_MISS)))
+    for i in compress(range(len(bests)), map(is_, bests, repeat(_MISS))):
+        word = words[i]
+        best = cache.get(word, _MISS)  # an earlier miss in this text may have filled it
+        if best is _MISS:
+            norm = _collapsed(word)
+            parses = decompose(norm, lexicon, elongated=norm != word)
+            best = cache[word] = parses[0] if parses else None
+        bests[i] = best
     return bests
 
 
 def annotate_text(
-    post_id: str,
-    text: str,
-    lexicon: Lexicon,
-    cache: dict[tuple[str, bool], Parse | None] | None = None,
+    post_id: str, text: str, lexicon: Lexicon, cache: dict[str, Parse | None] | None = None
 ) -> Annotation:
-    """Annotate raw text; cache maps (normalized, elongated) to best parse
+    """Annotate raw text; cache maps a lowercased word to its best parse
     and is only worth passing when looping over a corpus."""
     bests = _best_parses(text, lexicon, {} if cache is None else cache)
-    spans = []
-    for m, best in zip(_WORD.finditer(text), bests, strict=True):
-        if best is None:
-            continue
-        categories = frozenset(
-            c for seg in best.segments if seg.entry for c in seg.entry.categories
-        )
-        spans.append(Span(m.start(), m.end(), m.group(), categories, best))
-    return Annotation(post_id, tuple(spans), len(bests), len(spans))
+    found = list(filter(None, bests))
+    matches = compress(_WORD.finditer(text), bests) if found else ()
+    spans = tuple(
+        Span(m.start(), m.end(), m.group(), best.categories, best) for m, best in zip(matches, found)
+    )
+    return Annotation(post_id, spans, len(bests), len(spans))
 
 
-def match_counts(
-    text: str, lexicon: Lexicon, cache: dict[tuple[str, bool], Parse | None]
-) -> tuple[int, int]:
+def match_counts(text: str, lexicon: Lexicon, cache: dict[str, Parse | None]) -> tuple[int, int]:
     """The counting view of annotate_text: (token_count, matched_count),
     without a Span per match, through the same parse cache."""
     bests = _best_parses(text, lexicon, cache)
-    return len(bests), len(bests) - bests.count(None)
+    return len(bests), len(list(filter(None, bests)))
 
 
 def annotation_json(ann: Annotation) -> str:
     """One JSON Lines record of an annotation, as `cryptolex annotate`
-    writes it: spans in text order, categories sorted, no trailing newline."""
-    spans = []
-    for span in ann.spans:
-        spans.append(
-            {
-                "start": span.start,
-                "end": span.end,
-                "term": span.term,
-                "categories": sorted(span.categories),
-                "segments": [
-                    {
-                        "slice": seg.slice,
-                        "role": seg.role,
-                        "entry": seg.entry.surface if seg.entry else None,
-                    }
-                    for seg in span.parse.segments
-                ],
-            }
-        )
-    return json.dumps(
-        {
-            "id": ann.post_id,
-            "spans": spans,
-            "token_count": ann.token_count,
-            "matched_count": ann.matched_count,
-        },
-        ensure_ascii=False,
+    writes it: spans in text order, categories sorted, no trailing newline.
+    Each span's categories and segments come from its parse's span_json."""
+    spans = ", ".join(
+        f'{{"start": {span.start}, "end": {span.end}, "term": {encode_basestring(span.term)}'
+        + span.parse.span_json
+        for span in ann.spans
+    )
+    return (
+        f'{{"id": {encode_basestring(ann.post_id)}, "spans": [{spans}], '
+        f'"token_count": {ann.token_count}, "matched_count": {ann.matched_count}}}'
     )

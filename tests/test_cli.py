@@ -312,6 +312,24 @@ class TestExitContract:
         assert main(argv + ["--strict"]) == 1
         assert capsys.readouterr().err == f"error: line 2: invalid JSON ({reason})\n"
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["lexicon", "validate"], "--lexicon"),
+            (["lexicon", "validate"], "--blocklist"),
+            (["annotate", "--input", "{corpus}"], "--output"),
+            (["discover", "--input", "{corpus}", "--background", "{background}"], "--stoplist"),
+        ],
+    )
+    def test_empty_path_is_usage_error(self, corpus, background, capsys, command, flag):
+        # an empty value once read as the flag not given: the bundled data,
+        # stdout, or no stoplist
+        argv = [arg.format(corpus=corpus, background=background) for arg in command]
+        assert main([*argv, flag, ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: must not be empty" in err
+
     def test_workers_default_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         args = build_parser().parse_args(["discover", "--input", "a", "--background", "b"])

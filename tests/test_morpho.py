@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import pickle
 import re
 import string
@@ -22,7 +23,7 @@ from cryptolex import (
 )
 from cryptolex import morpho
 from cryptolex.lexicon import AFFIX_KINDS, INFLECTIONS, LETTER_RUN3
-from cryptolex.morpho import _WORD, Annotation, Span, match_counts
+from cryptolex.morpho import _WORD, Annotation, Span, annotation_json, match_counts
 
 
 class TestNormalize:
@@ -236,9 +237,27 @@ class TestAnnotate:
     def test_shared_cache(self, seed_lexicon):
         cache = {}
         annotate_text("a", "wristcel wristcel", seed_lexicon, cache=cache)
-        assert ("wristcel", False) in cache
+        assert "wristcel" in cache
         ann = annotate_text("b", "wristcel", seed_lexicon, cache=cache)
         assert ann.matched_count == 1
+
+    def test_cache_keys_are_lowercased_words(self, seed_lexicon, monkeypatch):
+        # two spellings of one collapsed form are two keys, each decomposed
+        # once, with equal best parses
+        calls = []
+
+        def spy(normalized, lexicon, *, elongated=False):
+            calls.append((normalized, elongated))
+            return decompose(normalized, lexicon, elongated=elongated)
+
+        monkeypatch.setattr(morpho, "decompose", spy)
+        cache = {}
+        ann = annotate_text("p", "INCELLL incellll incelll", seed_lexicon, cache=cache)
+        assert calls == [("incell", True), ("incell", True)]
+        assert list(cache) == ["incelll", "incellll"]
+        assert cache["incelll"] == cache["incellll"] is not None
+        assert cache["incelll"].token == "incel"
+        assert [span.term for span in ann.spans] == ["INCELLL", "incellll", "incelll"]
 
     def test_annotation_carries_post_id(self, seed_lexicon):
         ann = annotate_text("m1", "ricecel", seed_lexicon)
@@ -323,10 +342,7 @@ def assert_views_match_reference(text, lexicon, shared=SHARED_CACHE):
     expected = reference_annotation(text, lexicon)
     counts = (expected.token_count, expected.matched_count)
     tokens = tokenize(text)
-    assert morpho._words(text) == (
-        [t.raw.lower() for t in tokens],
-        [t.normalized for t in tokens],
-    )
+    assert morpho._lowered_words(text) == [t.raw.lower() for t in tokens]
     assert normalized_words(text) == [t.normalized for t in tokens]
     for cache in ({}, shared):
         assert annotate_text("p", text, lexicon, cache) == expected
@@ -336,7 +352,8 @@ def assert_views_match_reference(text, lexicon, shared=SHARED_CACHE):
 
 class TestMatchCounts:
     """annotate_text and match_counts read words through one whole-text
-    reader, _words; each must equal the reference built from tokenize."""
+    reader, _lowered_words; each must equal the reference built from
+    tokenize."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text))
@@ -379,8 +396,8 @@ class TestMatchCounts:
     def test_shares_annotate_texts_cache(self, seed_lexicon, monkeypatch):
         cache = {}
         assert match_counts("wristcel sooo cope", seed_lexicon, cache) == (3, 1)
-        assert ("wristcel", False) in cache
-        assert ("soo", True) in cache
+        assert "wristcel" in cache
+        assert "sooo" in cache
 
         def no_decompose(*args, **kwargs):
             raise AssertionError("decompose called on a cached key")
@@ -388,6 +405,83 @@ class TestMatchCounts:
         monkeypatch.setattr(morpho, "decompose", no_decompose)
         ann = annotate_text("p", "wristcel sooo cope", seed_lexicon, cache)
         assert (ann.token_count, ann.matched_count) == (3, 1)
+
+
+def reference_annotation_json(ann):
+    """annotation_json as a dict tree through json.dumps: the reference the
+    renderer's per-parse span_json must equal byte for byte."""
+    spans = [
+        {
+            "start": span.start,
+            "end": span.end,
+            "term": span.term,
+            "categories": sorted(span.categories),
+            "segments": [
+                {
+                    "slice": seg.slice,
+                    "role": seg.role,
+                    "entry": seg.entry.surface if seg.entry else None,
+                }
+                for seg in span.parse.segments
+            ],
+        }
+        for span in ann.spans
+    ]
+    return json.dumps(
+        {
+            "id": ann.post_id,
+            "spans": spans,
+            "token_count": ann.token_count,
+            "matched_count": ann.matched_count,
+        },
+        ensure_ascii=False,
+    )
+
+
+# Post ids with what JSON escapes or passes through: quotes, backslashes,
+# control characters, U+2028/U+2029 and lone surrogates.
+post_ids = st.text() | st.text(alphabet='"\\\x00\x1f\x7f\u2028\u2029\ud800\udfffé€ a')
+
+
+class TestAnnotationJson:
+    """annotation_json writes each span from its parse's memo; it must
+    equal the dict-tree render."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(post_ids, st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text))
+    def test_matches_reference(self, seed_lexicon, post_id, text):
+        for cache in ({}, SHARED_CACHE):
+            ann = annotate_text(post_id, text, seed_lexicon, cache)
+            assert annotation_json(ann) == reference_annotation_json(ann)
+
+    @pytest.mark.parametrize(
+        "text, segments, categories",
+        [
+            # a novel stem: its segment's entry is None
+            ("my wristcel", [("wrist", None), ("cel", "cel")], ["dehumanizing"]),
+            # the categories of two entries, sorted
+            ("CURRYCEL", [("curry", "curry"), ("cel", "cel")], ["dehumanizing", "racist"]),
+        ],
+    )
+    def test_pinned_spans(self, seed_lexicon, text, segments, categories):
+        ann = annotate_text('q"\\\u2028', text, seed_lexicon)
+        assert annotation_json(ann) == reference_annotation_json(ann)
+        (span,) = json.loads(annotation_json(ann))["spans"]
+        assert [(s["slice"], s["entry"]) for s in span["segments"]] == segments
+        assert span["categories"] == categories
+
+    def test_parse_rendered_once(self, seed_lexicon):
+        ann = annotate_text("p", "wristcel then Wristcel", seed_lexicon, {})
+        first, second = ann.spans
+        assert first.parse is second.parse
+        assert annotation_json(ann) == reference_annotation_json(ann)
+        # the memo is kept with the parse and reused, outside equality and repr
+        memo = first.parse.__dict__["span_json"]
+        assert annotation_json(ann) == reference_annotation_json(ann)
+        assert first.parse.span_json is memo
+        fresh = decompose("wristcel", seed_lexicon)[0]
+        assert "span_json" not in fresh.__dict__
+        assert fresh == first.parse and repr(fresh) == repr(first.parse)
 
 
 def ungated_decompose(normalized, lexicon, *, elongated=False):
