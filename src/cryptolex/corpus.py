@@ -228,7 +228,7 @@ def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
     return FrequencyTable(dict(Counter(words)), total_tokens=len(words), doc_count=len(texts))
 
 
-def _affix_table(posts: Iterable[Post], lexicon: Lexicon, cache: dict) -> FrequencyTable:
+def _affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
     # An affix occurrence is any productive prefix/suffix entry referenced
     # by the token's best parse, keyed by canonical surface so variant
     # spellings ("mogg") count toward their entry ("mog"). Counted from the
@@ -237,7 +237,7 @@ def _affix_table(posts: Iterable[Post], lexicon: Lexicon, cache: dict) -> Freque
     docs = 0
     for post in posts:
         docs += 1
-        for best in _best_parses(post.text, lexicon, cache):
+        for best in _best_parses(post.text, lexicon):
             if best is not None:
                 counts.update(
                     seg.entry.surface
@@ -263,14 +263,13 @@ def week_index(label: str) -> int:
     return date.fromisocalendar(int(year), int(week), 1).toordinal() // 7
 
 
-def fold_usage(
-    posts: Iterable[Post], lexicon: Lexicon, cache: dict, key: Callable[[Post], Hashable]
-) -> dict:
-    """Sum [posts, tokens, matched] per key(post), counting through cache."""
+def fold_usage(posts: Iterable[Post], lexicon: Lexicon, key: Callable[[Post], Hashable]) -> dict:
+    """Sum [posts, tokens, matched] per key(post), counting through the
+    lexicon's memo."""
     usage: dict = {}
     for post in posts:
         cell = usage.setdefault(key(post), [0, 0, 0])
-        tokens, matched = match_counts(post.text, lexicon, cache)
+        tokens, matched = match_counts(post.text, lexicon)
         cell[0] += 1
         cell[1] += tokens
         cell[2] += matched
@@ -285,15 +284,13 @@ def fold_usage(
 @dataclass(frozen=True)
 class _ScanState:
     """What a scan's chunk functions read: its lexicon, whether it is
-    strict, the one user a usage scan keeps (None keeps all), the event a
-    pooled scan sets once it has ended early (None in process) and its
-    parse cache, one value per scan."""
+    strict, the one user a usage scan keeps (None keeps all) and the event
+    a pooled scan sets once it has ended early (None in process)."""
 
     lexicon: Lexicon | None
     strict: bool
     user: str | None = None
     stop: multiprocessing.synchronize.Event | None = None
-    cache: dict = field(default_factory=dict)
 
 
 _state: _ScanState | None = None
@@ -328,7 +325,7 @@ def _scan_words_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
 
 def _scan_affixes_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
     report = ReadReport()
-    return _affix_table(_chunk_posts(chunk, report), _state.lexicon, _state.cache), report
+    return _affix_table(_chunk_posts(chunk, report), _state.lexicon), report
 
 
 def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
@@ -336,13 +333,13 @@ def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
     posts = _chunk_posts(chunk, report)
     if _state.user is not None:
         posts = [post for post in posts if post.user == _state.user]
-    return fold_usage(posts, _state.lexicon, _state.cache, _user_week), report
+    return fold_usage(posts, _state.lexicon, _user_week), report
 
 
 def _annotate_posts(chunk, report: ReadReport) -> Iterator[Annotation]:
     """The one per-post annotate body of both annotation scans."""
     for post in _chunk_posts(chunk, report):
-        yield annotate_text(post.id, post.text, _state.lexicon, _state.cache)
+        yield annotate_text(post.id, post.text, _state.lexicon)
 
 
 def _scan_annotations_chunk(chunk) -> tuple[list[Annotation], ReadReport]:
@@ -391,8 +388,7 @@ def _run_chunks(
                 _init_worker(state)
                 yield tag, chunk_fn(chunk)
         finally:
-            # the scan's lexicon and parse cache go with it, unless another
-            # scan has bound its own state since
+            # the scan's state goes with it, unless another scan has bound its own since
             if _state is state:
                 _init_worker(None)
         return

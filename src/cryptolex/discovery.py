@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .corpus import FrequencyTable
 from .lexicon import LexiconEntry, parse_entry, split_lines
+from .morpho import normalize_token
 
 
 class DiscoveryError(ValueError):
@@ -85,9 +86,10 @@ def filter_stoplist(rows: Iterable[LogRatioRow], stoplist: frozenset[str] | set[
 
 
 def load_stoplist(source: str | Path) -> frozenset[str]:
-    """Plain text stoplist, one token per line."""
+    """Plain text stoplist, one token per line, normalized as discover
+    counts tokens: lowercased, letter runs collapsed to two."""
     text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
-    return frozenset(line.strip() for line in split_lines(text) if line.strip())
+    return frozenset(normalize_token(line.strip())[0] for line in split_lines(text) if line.strip())
 
 
 RANKED_COLUMNS = ("token", "target_count", "background_count", "target_rank", "log_ratio")

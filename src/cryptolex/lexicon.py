@@ -4,7 +4,8 @@ Design goals:
 
 - entries are plain data (surface, kind, gloss, category codes), easy to
   review and diff in JSON Lines form;
-- the lexicon is immutable after load and safe to share across workers;
+- the lexicon's entries and indexes are fixed after load, and safe to share
+  across workers; its best-parse memo only memoizes;
 - ordinary-English collisions are handled by an explicit blocklist rather
   than frequency modeling, so every exclusion is auditable.
 """
@@ -100,14 +101,16 @@ def _index():
 
 @dataclass
 class Lexicon:
-    """Immutable entry collection plus lookup indexes, built from entries.
+    """Entry collection plus lookup indexes, built from entries.
 
-    Do not mutate after construction; build a new one instead. Every
-    surface and variant names exactly one entry, so forms maps each to its
-    entry; a collision makes lookup ambiguous, so it is an error rather
-    than a warning. Affix forms are kept in longest-first order for the
-    segmenter. may_parse is the segmenter's fast reject: a form it does not
-    find cannot parse.
+    Do not change entries or blocklist after construction; build a new one
+    instead. Every surface and variant names exactly one entry, so forms
+    maps each to its entry; a collision makes lookup ambiguous, so it is an
+    error rather than a warning. Affix forms are kept in longest-first
+    order for the segmenter. may_parse is the segmenter's fast reject: a
+    form it does not find cannot parse. memo maps a lowercased word to its
+    best parse under this lexicon, or None; morpho._best_parses alone
+    fills it, and it only memoizes, so it never changes a result.
     """
 
     entries: tuple[LexiconEntry, ...]
@@ -116,6 +119,7 @@ class Lexicon:
     prefix_forms: tuple[tuple[str, LexiconEntry], ...] = _index()
     suffix_forms: tuple[tuple[str, LexiconEntry], ...] = _index()
     may_parse: re.Pattern = _index()
+    memo: dict = _index()
 
     def __post_init__(self):
         forms: dict[str, LexiconEntry] = {}
@@ -136,6 +140,7 @@ class Lexicon:
         self.prefix_forms = self._affix_forms("prefix")
         self.suffix_forms = self._affix_forms("suffix")
         self.may_parse = _may_parse_gate([f for f, _ in self.prefix_forms], list(forms))
+        self.memo = {}
 
     def _affix_forms(self, kind: str) -> tuple[tuple[str, LexiconEntry], ...]:
         forms = [

@@ -34,7 +34,7 @@ _RUN3 = re.compile(r"(.)\1\1+", re.DOTALL)
 _ASCII_WORD_BYTES = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
 # LETTER_RUN3 on lowercased ASCII text, two to three times faster
 _ASCII_LETTER_RUN3 = re.compile(r"([a-z])\1\1+")
-_MISS = object()  # what a parse cache lookup gives for a word it lacks
+_MISS = object()  # what a memo lookup gives for a word it lacks
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Parse:
     specificity: int  # 1 exact entry, 2 entry-backed stem, 3 novel stem
 
     # Built on first use and kept with the parse, outside equality and repr,
-    # so a cached best parse builds them once however many spans it backs.
+    # so a memoized best parse builds them once however many spans it backs.
     @cached_property
     def categories(self) -> frozenset[str]:
         """The union of the segment entries' categories."""
@@ -127,17 +127,13 @@ def _lowered_words(text: str) -> list[str]:
 
     Lowercasing a whole text keeps each code point's length and word and
     letter status, so its words and letter runs are tokenize's, but for
-    two code points that fall back to tokenize: U+0130 (İ) lowercases to
-    two characters, the second not a word character, and U+03A3 (Σ)
-    lowercases by context (final sigma), which a whole text carries across
-    a token boundary. No word spans a "\\n", so a text of many lines, such
-    as a scan chunk's texts joined, is read line by line when it holds
-    either code point, and only the lines holding one fall back.
+    two code points: U+0130 (İ) lowercases to two characters, the second
+    not a word character, and U+03A3 (Σ) lowercases by context (final
+    sigma), which a whole text carries across a token boundary. A text
+    holding either is lowered word by word.
     """
     if "İ" in text or "Σ" in text:
-        if "\n" in text:
-            return [word for line in text.split("\n") for word in _lowered_words(line)]
-        return [t.raw.lower() for t in tokenize(text)]
+        return [word.lower() for word in _WORD.findall(text)]
     return _read(text.lower())
 
 
@@ -316,29 +312,28 @@ def _affix_splits(
     return parses
 
 
-def _best_parses(text: str, lexicon: Lexicon, cache: dict[str, Parse | None]) -> list[Parse | None]:
+def _best_parses(text: str, lexicon: Lexicon) -> list[Parse | None]:
     """Each word's best parse in text order, None where nothing parses.
-    cache maps a lowercased word to its best parse; only a miss collapses
-    the word, whose elongated flag follows, and decomposes it."""
+    The one reader and writer of lexicon.memo, which maps a lowercased word
+    to its best parse; only a miss collapses the word, whose elongated flag
+    follows, and decomposes it."""
+    memo = lexicon.memo
     words = _lowered_words(text)
-    bests = list(map(cache.get, words, repeat(_MISS)))
+    bests = list(map(memo.get, words, repeat(_MISS)))
     for i in compress(range(len(bests)), map(is_, bests, repeat(_MISS))):
         word = words[i]
-        best = cache.get(word, _MISS)  # an earlier miss in this text may have filled it
+        best = memo.get(word, _MISS)  # an earlier miss in this text may have filled it
         if best is _MISS:
             norm = _collapsed(word)
             parses = decompose(norm, lexicon, elongated=norm != word)
-            best = cache[word] = parses[0] if parses else None
+            best = memo[word] = parses[0] if parses else None
         bests[i] = best
     return bests
 
 
-def annotate_text(
-    post_id: str, text: str, lexicon: Lexicon, cache: dict[str, Parse | None] | None = None
-) -> Annotation:
-    """Annotate raw text; cache maps a lowercased word to its best parse
-    and is only worth passing when looping over a corpus."""
-    bests = _best_parses(text, lexicon, {} if cache is None else cache)
+def annotate_text(post_id: str, text: str, lexicon: Lexicon) -> Annotation:
+    """Annotate raw text through the lexicon's best-parse memo."""
+    bests = _best_parses(text, lexicon)
     found = list(filter(None, bests))
     matches = compress(_WORD.finditer(text), bests) if found else ()
     spans = tuple(
@@ -347,10 +342,10 @@ def annotate_text(
     return Annotation(post_id, spans, len(bests), len(spans))
 
 
-def match_counts(text: str, lexicon: Lexicon, cache: dict[str, Parse | None]) -> tuple[int, int]:
+def match_counts(text: str, lexicon: Lexicon) -> tuple[int, int]:
     """The counting view of annotate_text: (token_count, matched_count),
-    without a Span per match, through the same parse cache."""
-    bests = _best_parses(text, lexicon, cache)
+    without a Span per match, through the same memo."""
+    bests = _best_parses(text, lexicon)
     return len(bests), len(list(filter(None, bests)))
 
 

@@ -83,7 +83,7 @@ def usage_series(posts: Iterable[Post], lexicon: Lexicon, user: str | None = Non
             )
         return iso_week(post.created_utc)
 
-    week_counts = fold_usage(posts, lexicon, {}, week_of_one_user)
+    week_counts = fold_usage(posts, lexicon, week_of_one_user)
     return series_from_counts(series_user or "", week_counts)
 
 

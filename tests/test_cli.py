@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cryptolex import annotate_text, annotation_json, load_seed_lexicon, read_posts
 from cryptolex import corpus as corpus_module
 from cryptolex import entries_to_jsonl, lexicon_from_tsv
 from cryptolex.cli import build_parser, main
@@ -183,6 +187,19 @@ class TestDiscoverCommand:
         tokens = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         assert "wristcel" not in tokens
 
+    def test_stoplist_entries_are_normalized(self, tmp_path, background, capsys):
+        # discover counts normalized tokens, so "The" and "SOOOOO" stop the
+        # rows "the" and "soo"
+        rows = [make_post(f"p{i}", "ann", week_ts(2020, 1), "The sooo wristcel") for i in range(2)]
+        target = write_jsonl(tmp_path / "target.jsonl", rows)
+        stop = tmp_path / "stop.txt"
+        stop.write_text("The\nSOOOOO\n", encoding="utf-8")
+        argv = ["discover", "--input", str(target), "--background", str(background),
+                "--min-count", "1", "--workers", "1", "--stoplist", str(stop)]
+        assert main(argv) == 0
+        tokens = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert tokens == ["wristcel"]
+
     def test_jsonl_format(self, corpus, background, capsys):
         main(
             ["discover", "--input", str(corpus), "--background", str(background),
@@ -348,3 +365,73 @@ class TestExitContract:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("cryptolex ")
+
+
+# A CLI-level differential property test: small corpora with malformed
+# lines, non-ASCII text and the two code points the word reader lowers word
+# by word (İ and Σ), read in 2-line chunks at one worker and at two.
+CLI_BAD_LINES = [b"", b"broken", b'{"id": "x"}', b"\xff\xfe", b"[1]"]
+cli_texts = st.one_of(
+    st.sampled_from(["wristcel cope", "mogging sooo hard", "currycel mogg", "the gymcels lifts"]),
+    st.text(alphabet="İΣσςıIé wristcelmog'_", max_size=20),
+    st.text(max_size=20),
+)
+cli_lines = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["u1", "u2"]), st.integers(1, 12), cli_texts),
+        st.sampled_from(CLI_BAD_LINES),
+    ),
+    max_size=8,
+)
+
+
+def render_cli_lines(items) -> bytes:
+    out = []
+    for i, item in enumerate(items):
+        if isinstance(item, tuple):
+            user, week, text = item
+            item = json.dumps(make_post(f"p{i}", user, week_ts(2020, week), text)).encode()
+        out.append(item + b"\n")
+    return b"".join(out)
+
+
+def run_cli(argv: list[str], output) -> tuple[int, str, str, bytes | None]:
+    """main's exit code, stdout, stderr and output file, which it removes."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--output", str(output)])
+    written = output.read_bytes() if output.exists() else None
+    output.unlink(missing_ok=True)
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@settings(max_examples=25, deadline=None)
+@given(cli_lines, cli_lines)
+def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, background_items):
+    work = tmp_path_factory.mktemp("cli")
+    posts, background = work / "posts.jsonl", work / "background.jsonl"
+    posts.write_bytes(render_cli_lines(items))
+    background.write_bytes(render_cli_lines(background_items))
+    commands = {
+        "annotate": ["annotate", "--input", str(posts)],
+        "affixes": ["discover", "--affixes", "--input", str(posts),
+                    "--background", str(background), "--min-count", "1"],
+        "trajectory": ["trajectory", "--all", "--gaps", "--input", str(posts)],
+    }
+    chunks = corpus_module._chunks
+    with pytest.MonkeyPatch.context() as mp:
+        # _map_chunks reads _chunks as a global when a scan starts, in this process
+        mp.setattr(corpus_module, "_chunks", lambda source, chunk_lines: chunks(source, 2))
+        for name, argv in commands.items():
+            for mode in ([], ["--strict"]):
+                one, two = (
+                    run_cli([*argv, *mode, "--workers", w], work / "out") for w in ("1", "2")
+                )
+                assert one == two, (name, mode)
+    lexicon = load_seed_lexicon()
+    expected = "".join(
+        annotation_json(annotate_text(post.id, post.text, lexicon)) + "\n"
+        for post in read_posts(posts)
+    )
+    code, _, _, written = run_cli([*commands["annotate"], "--workers", "2"], work / "out")
+    assert (code, written) == (0, expected.encode())

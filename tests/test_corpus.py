@@ -19,6 +19,7 @@ from cryptolex import (
     build_frequency_table,
     build_lexicon,
     iso_week,
+    load_seed_lexicon,
     merge,
     parse_post_line,
     read_posts,
@@ -382,6 +383,18 @@ class TestShardedScans:
         assert sum(expected) > 0
         assert sum(a.matched_count for a in empty) == 0
 
+    @pytest.mark.parametrize("seed_first", [True, False], ids=["seed-first", "empty-first"])
+    def test_in_process_scan_reads_its_own_lexicons_memo(self, seed_first):
+        # each lexicon memoizes its own best parses: a scan right after a
+        # scan with another lexicon sees none of that lexicon's parses
+        text = jline({**GOOD, "text": "a wristcel lurks"}) + "\n"
+        order = [(load_seed_lexicon(), 1), (build_lexicon([]), 0)]
+        for lexicon, matched in order if seed_first else order[::-1]:
+            (ann,) = scan_annotations(text, lexicon, workers=1)
+            assert ann.matched_count == matched
+            assert scan_usage(text, lexicon, workers=1) == {("u1", "2020-W01"): (1, 3, matched)}
+        assert all(lexicon.memo for lexicon, _ in order)
+
     def test_in_process_scan_frees_its_state(self, seed_lexicon):
         text = jline(GOOD) + "\n" + jline({**GOOD, "id": "p2", "text": "wristcel"}) + "\n"
         assert scan_usage(text, seed_lexicon, chunk_lines=1) == {("u1", "2020-W01"): (2, 2, 1)}
@@ -395,9 +408,9 @@ class TestShardedScans:
         counted = []
         match_counts = corpus.match_counts
 
-        def spy(text, lexicon, cache):
+        def spy(text, lexicon):
             counted.append(text)
-            return match_counts(text, lexicon, cache)
+            return match_counts(text, lexicon)
 
         monkeypatch.setattr(corpus, "match_counts", spy)
         text = "".join(
@@ -512,7 +525,7 @@ CODED_TEXTS = ["wristcel cope", "the gymcels lifts", "mogging sooo hard", "curry
 post_texts = st.one_of(
     st.text(max_size=30),
     st.sampled_from(CODED_TEXTS),
-    # İ and Σ take the tokenize path of the word reader
+    # İ and Σ take the word-by-word path of the word reader
     st.text(alphabet="İΣσςıI wristcelmog'_", max_size=30),
 )
 

@@ -14,6 +14,7 @@ from cryptolex import (
     import_review_sheet,
     load_stoplist,
     log_ratio_rank,
+    normalize_token,
     review_sheet,
     rows_to_jsonl,
     rows_to_tsv,
@@ -177,4 +178,4 @@ def test_stoplist_lines_split_on_newline_only(texts):
     words = [_tsv_safe(t) for t in texts]
     text = "\n".join(words) + "\n"
     for source in (text, text.replace("\n", "\r\n")):
-        assert load_stoplist(source) == {w.strip() for w in words} - {""}
+        assert load_stoplist(source) == {normalize_token(w.strip())[0] for w in words if w.strip()}

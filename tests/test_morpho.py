@@ -15,6 +15,7 @@ from cryptolex import (
     annotate_text,
     build_lexicon,
     decompose,
+    load_seed_lexicon,
     normalize_token,
     normalized_words,
     reconstruct,
@@ -234,14 +235,14 @@ class TestAnnotate:
         assert ann.spans == ()
         assert ann.matched_count == 0
 
-    def test_shared_cache(self, seed_lexicon):
-        cache = {}
-        annotate_text("a", "wristcel wristcel", seed_lexicon, cache=cache)
-        assert "wristcel" in cache
-        ann = annotate_text("b", "wristcel", seed_lexicon, cache=cache)
+    def test_shared_cache(self):
+        lexicon = load_seed_lexicon()
+        annotate_text("a", "wristcel wristcel", lexicon)
+        assert "wristcel" in lexicon.memo
+        ann = annotate_text("b", "wristcel", lexicon)
         assert ann.matched_count == 1
 
-    def test_cache_keys_are_lowercased_words(self, seed_lexicon, monkeypatch):
+    def test_cache_keys_are_lowercased_words(self, monkeypatch):
         # two spellings of one collapsed form are two keys, each decomposed
         # once, with equal best parses
         calls = []
@@ -251,13 +252,30 @@ class TestAnnotate:
             return decompose(normalized, lexicon, elongated=elongated)
 
         monkeypatch.setattr(morpho, "decompose", spy)
-        cache = {}
-        ann = annotate_text("p", "INCELLL incellll incelll", seed_lexicon, cache=cache)
+        lexicon = load_seed_lexicon()
+        ann = annotate_text("p", "INCELLL incellll incelll", lexicon)
         assert calls == [("incell", True), ("incell", True)]
-        assert list(cache) == ["incelll", "incellll"]
-        assert cache["incelll"] == cache["incellll"] is not None
-        assert cache["incelll"].token == "incel"
+        memo = lexicon.memo
+        assert list(memo) == ["incelll", "incellll"]
+        assert memo["incelll"] == memo["incellll"] is not None
+        assert memo["incelll"].token == "incel"
         assert [span.term for span in ann.spans] == ["INCELLL", "incellll", "incelll"]
+
+    @pytest.mark.parametrize("seed_first", [True, False], ids=["seed-first", "empty-first"])
+    def test_each_lexicon_reads_its_own_memo(self, seed_first):
+        order = [(load_seed_lexicon(), 1), (build_lexicon([]), 0)]
+        for lexicon, matched in order if seed_first else order[::-1]:
+            assert annotate_text("p", "a wristcel lurks", lexicon).matched_count == matched
+        for lexicon, matched in order:  # both memos warm now
+            assert annotate_text("p", "a wristcel lurks", lexicon).matched_count == matched
+            assert "wristcel" in lexicon.memo
+
+    def test_warm_memo_is_outside_equality_and_repr(self):
+        warm, fresh = load_seed_lexicon(), load_seed_lexicon()
+        annotate_text("p", "a wristcel lurks", warm)
+        assert warm.memo and not fresh.memo
+        assert warm == fresh
+        assert repr(warm) == repr(fresh)
 
     def test_annotation_carries_post_id(self, seed_lexicon):
         ann = annotate_text("m1", "ricecel", seed_lexicon)
@@ -272,9 +290,10 @@ class TestAnnotate:
 
 
 # Text biased toward the seed lexicon, with the characters where a
-# whole-text view could part from tokenize: İ and Σ (the fallback), ſ and
-# ß/ẞ (case mappings that stay one character), a combining dot, "_",
-# digits, and repeated characters that make letter runs of 3 or more.
+# whole-text view could part from tokenize: İ and Σ (lowered word by
+# word), ſ and ß/ẞ (case mappings that stay one character), a combining
+# dot, "_", digits, and repeated characters that make letter runs of 3 or
+# more.
 LEXICON_CHARS = list("celmogfuxwristyajbwhdnpqvCELMOGİΣσςſßẞ\u0307_07 '")
 CODED_WORDS = ["wristcel", "Incel", "incelllll", "NORMIE", "mogging", "currycel", "jbw", "cope"]
 biased_text = st.lists(
@@ -317,12 +336,15 @@ run_text = st.lists(
     max_size=12,
 ).map("".join)
 
-SHARED_CACHE: dict = {}  # one cache across examples, as a scan shares one
+
+def cold(lexicon):
+    """A copy of lexicon with an empty memo."""
+    return build_lexicon(lexicon.entries, lexicon.blocklist)
 
 
 def reference_annotation(text, lexicon):
     """annotate_text built only from the reference tokenize and decompose:
-    one Token per word and no parse cache."""
+    one Token per word and no memo."""
     tokens = tokenize(text)
     spans = []
     for tok in tokens:
@@ -336,17 +358,18 @@ def reference_annotation(text, lexicon):
     return Annotation("p", tuple(spans), len(tokens), len(spans))
 
 
-def assert_views_match_reference(text, lexicon, shared=SHARED_CACHE):
-    """Check both views with a fresh cache and with shared, a cache the
-    caller keeps for one lexicon; return the reference counts."""
+def assert_views_match_reference(text, lexicon):
+    """Check both views through a cold memo and through lexicon's own,
+    which a session-wide lexicon keeps warm across examples as a scan
+    does; return the reference counts."""
     expected = reference_annotation(text, lexicon)
     counts = (expected.token_count, expected.matched_count)
     tokens = tokenize(text)
     assert morpho._lowered_words(text) == [t.raw.lower() for t in tokens]
     assert normalized_words(text) == [t.normalized for t in tokens]
-    for cache in ({}, shared):
-        assert annotate_text("p", text, lexicon, cache) == expected
-        assert match_counts(text, lexicon, cache) == counts
+    for memoized in (cold(lexicon), lexicon):
+        assert annotate_text("p", text, memoized) == expected
+        assert match_counts(text, memoized) == counts
     return counts
 
 
@@ -377,7 +400,7 @@ class TestMatchCounts:
             # the letters' runs collapse, ² and ½ counting as letters
             "AAA zzzz ZZZ...",
             "ééé ßßßß ²²² ½½½ ٣٣٣ ___ ……… sooo",
-            # lines read one by one: only the first falls back to tokenize
+            # a text of many lines holding Σ and İ is lowered word by word
             "ΑΣ'Β\nwristcel sooo\n\nİx",
         ],
     )
@@ -391,19 +414,19 @@ class TestMatchCounts:
         lexicon = build_lexicon(
             [LexiconEntry(surface="ας", kind="root", categories=frozenset({"racist"}))]
         )
-        assert assert_views_match_reference("ΑΣ'Β", lexicon, shared={}) == (2, 1)
+        assert assert_views_match_reference("ΑΣ'Β", lexicon) == (2, 1)
 
-    def test_shares_annotate_texts_cache(self, seed_lexicon, monkeypatch):
-        cache = {}
-        assert match_counts("wristcel sooo cope", seed_lexicon, cache) == (3, 1)
-        assert "wristcel" in cache
-        assert "sooo" in cache
+    def test_shares_annotate_texts_cache(self, monkeypatch):
+        lexicon = load_seed_lexicon()
+        assert match_counts("wristcel sooo cope", lexicon) == (3, 1)
+        assert "wristcel" in lexicon.memo
+        assert "sooo" in lexicon.memo
 
         def no_decompose(*args, **kwargs):
-            raise AssertionError("decompose called on a cached key")
+            raise AssertionError("decompose called on a memoized key")
 
         monkeypatch.setattr(morpho, "decompose", no_decompose)
-        ann = annotate_text("p", "wristcel sooo cope", seed_lexicon, cache)
+        ann = annotate_text("p", "wristcel sooo cope", lexicon)
         assert (ann.token_count, ann.matched_count) == (3, 1)
 
 
@@ -450,8 +473,8 @@ class TestAnnotationJson:
     @settings(max_examples=500, deadline=None)
     @given(post_ids, st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text))
     def test_matches_reference(self, seed_lexicon, post_id, text):
-        for cache in ({}, SHARED_CACHE):
-            ann = annotate_text(post_id, text, seed_lexicon, cache)
+        for memoized in (cold(seed_lexicon), seed_lexicon):
+            ann = annotate_text(post_id, text, memoized)
             assert annotation_json(ann) == reference_annotation_json(ann)
 
     @pytest.mark.parametrize(
@@ -471,7 +494,7 @@ class TestAnnotationJson:
         assert span["categories"] == categories
 
     def test_parse_rendered_once(self, seed_lexicon):
-        ann = annotate_text("p", "wristcel then Wristcel", seed_lexicon, {})
+        ann = annotate_text("p", "wristcel then Wristcel", cold(seed_lexicon))
         first, second = ann.spans
         assert first.parse is second.parse
         assert annotation_json(ann) == reference_annotation_json(ann)
