@@ -27,7 +27,8 @@ from .morpho import (
     normalized_words,
 )
 
-DEFAULT_CHUNK_LINES = 5000
+# lines per chunk; no result depends on it, and tests patch it to vary it
+CHUNK_LINES = 5000
 # 9999-12-31T23:59:59Z, the last second iso_week can label
 MAX_CREATED_UTC = 253402300799
 _CREATED_RANGE = f"field 'created_utc' is out of range (0 to {MAX_CREATED_UTC})"
@@ -361,13 +362,14 @@ def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
     return ("".join(lines), tokens, matched), report
 
 
-def _chunks(source, chunk_lines: int) -> Iterator[tuple[int, list[str | bytes]]]:
+def _chunks(source) -> Iterator[tuple[int, list[str | bytes]]]:
+    size = CHUNK_LINES  # read once, when the first chunk is asked for
     batch: list[str | bytes] = []
     start = 1
     lineno = 0
     for lineno, raw in enumerate(_as_lines(source), start=1):
         batch.append(raw)
-        if len(batch) >= chunk_lines:
+        if len(batch) >= size:
             yield start, batch
             batch = []
             start = lineno + 1
@@ -432,29 +434,17 @@ def _run_chunks(
 
 
 def _map_chunks(
-    sources: Sequence,
-    chunk_fn,
-    lexicon: Lexicon | None,
-    workers: int,
-    chunk_lines: int,
-    report: ReadReport | None,
-    *,
-    strict: bool = False,
-    user: str | None = None,
+    sources: Sequence, chunk_fn, state: _ScanState, workers: int, report: ReadReport | None
 ) -> Iterator[tuple[int, object]]:
-    """Run chunk_fn over the line chunks of each source in turn, through
-    one pool, yielding (source index, part) in input order and adding each
-    chunk's ReadReport into report. Lines are numbered within each source.
+    """Run chunk_fn under state over the line chunks of each source in
+    turn, through one pool, yielding (source index, part) in input order
+    and adding each chunk's ReadReport into report. Lines are numbered
+    within each source.
 
     In-flight futures are capped so the parent never buffers more than a
     bounded window of lines regardless of corpus size.
     """
-    state = _ScanState(lexicon, strict, user)
-    tagged = (
-        (index, chunk)
-        for index, source in enumerate(sources)
-        for chunk in _chunks(source, chunk_lines)
-    )
+    tagged = ((index, chunk) for index, source in enumerate(sources) for chunk in _chunks(source))
     for index, (part, chunk_report) in _run_chunks(tagged, chunk_fn, state, workers):
         if report is not None:
             report.add(chunk_report)
@@ -468,7 +458,6 @@ def scan_tables(
     workers: int = 1,
     strict: bool = False,
     report: ReadReport | None = None,
-    chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> list[FrequencyTable]:
     """One table per source, all read in one pass through one worker pool:
     normalized word counts, or productive-affix counts when a lexicon is
@@ -478,9 +467,7 @@ def scan_tables(
     copy the whole accumulated table for every chunk."""
     chunk_fn = _scan_words_chunk if lexicon is None else _scan_affixes_chunk
     tables = [FrequencyTable() for _ in sources]
-    for index, part in _map_chunks(
-        sources, chunk_fn, lexicon, workers, chunk_lines, report, strict=strict
-    ):
+    for index, part in _map_chunks(sources, chunk_fn, _ScanState(lexicon, strict), workers, report):
         tables[index].add(part)
     return tables
 
@@ -491,11 +478,8 @@ def scan_frequency_table(
     workers: int = 1,
     strict: bool = False,
     report: ReadReport | None = None,
-    chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> FrequencyTable:
-    return scan_tables(
-        [source], workers=workers, strict=strict, report=report, chunk_lines=chunk_lines
-    )[0]
+    return scan_tables([source], workers=workers, strict=strict, report=report)[0]
 
 
 def scan_usage(
@@ -505,16 +489,14 @@ def scan_usage(
     workers: int = 1,
     strict: bool = False,
     report: ReadReport | None = None,
-    chunk_lines: int = DEFAULT_CHUNK_LINES,
     user: str | None = None,
 ) -> dict[tuple[str, str], tuple[int, int, int]]:
     """Aggregate (user, iso_week) -> (posts, tokens, matched) over a corpus,
     or over one user's posts when user is given; report still tallies every
     line."""
     usage: dict[tuple[str, str], list[int]] = {}
-    for _, part in _map_chunks(
-        [source], _scan_usage_chunk, lexicon, workers, chunk_lines, report, strict=strict, user=user
-    ):
+    state = _ScanState(lexicon, strict, user)
+    for _, part in _map_chunks([source], _scan_usage_chunk, state, workers, report):
         for key, (n_posts, n_tokens, n_matched) in part.items():
             cell = usage.setdefault(key, [0, 0, 0])
             cell[0] += n_posts
@@ -530,12 +512,10 @@ def scan_annotations(
     workers: int = 1,
     strict: bool = False,
     report: ReadReport | None = None,
-    chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> Iterator[Annotation]:
     """Annotate a corpus, yielding annotations in input order."""
-    for _, anns in _map_chunks(
-        [source], _scan_annotations_chunk, lexicon, workers, chunk_lines, report, strict=strict
-    ):
+    state = _ScanState(lexicon, strict)
+    for _, anns in _map_chunks([source], _scan_annotations_chunk, state, workers, report):
         yield from anns
 
 
@@ -546,14 +526,12 @@ def scan_annotation_lines(
     workers: int = 1,
     strict: bool = False,
     report: ReadReport | None = None,
-    chunk_lines: int = DEFAULT_CHUNK_LINES,
 ) -> Iterator[tuple[str, int, int]]:
     """scan_annotations rendered, one (text, tokens, matched) item per
     chunk in input order: the chunk's annotation_json lines, each ending
     in "\\n", and its token and matched counts; report.parsed counts the
     posts. Workers render, so the caller receives text rather than an
     Annotation per post."""
-    for _, lines in _map_chunks(
-        [source], _scan_annotate_chunk, lexicon, workers, chunk_lines, report, strict=strict
-    ):
+    state = _ScanState(lexicon, strict)
+    for _, lines in _map_chunks([source], _scan_annotate_chunk, state, workers, report):
         yield lines

@@ -150,6 +150,11 @@ class Lexicon:
         forms.sort(key=lambda fe: (-len(fe[0]), fe[0]))
         return tuple(forms)
 
+    def __reduce__(self):
+        # rebuilt from entries and blocklist, so a copy sent to a worker
+        # starts with an empty memo rather than carrying this one's
+        return Lexicon, (self.entries, self.blocklist)
+
     def lookup(self, form: str) -> LexiconEntry | None:
         return self.forms.get(form)
 
@@ -267,14 +272,15 @@ def split_lines(text: str) -> list[str]:
 
 
 def load_blocklist(source: str | Path) -> frozenset[str]:
-    """Read a blocklist: one word per line, '#' comments and blanks ignored."""
+    """Read a blocklist: one word per line, '#' comments and blanks ignored,
+    normalized as tokens are: lowercased, letter runs collapsed to two."""
     if isinstance(source, Path):
         text = source.read_text(encoding="utf-8")
     else:
         text = source
     words = set()
     for raw in split_lines(text):
-        word = raw.split("#", 1)[0].strip().lower()
+        word = LETTER_RUN3.sub(r"\1\1", raw.split("#", 1)[0].strip().lower())
         if word:
             words.add(word)
     return frozenset(words)

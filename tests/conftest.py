@@ -3,11 +3,21 @@ from __future__ import annotations
 import json
 from datetime import date, datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
-from cryptolex import Lexicon, LexiconEntry, build_lexicon, load_seed_lexicon
+from cryptolex import (
+    Lexicon,
+    LexiconEntry,
+    build_lexicon,
+    corpus,
+    decompose,
+    load_seed_lexicon,
+    tokenize,
+)
+from cryptolex.morpho import Annotation, Span
 
 # definitions mixing in every character str.splitlines breaks a line on
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -23,6 +33,30 @@ BEYOND_JSON_PARSER = [
     pytest.param(LONG_INTEGER_LINE, "integer too long", id="long-integer"),
     pytest.param(DEEP_NESTING_LINE, "nested too deeply", id="deep-nesting"),
 ]
+
+
+def chunk_lines(n: int):
+    """A context in which scans read their sources in chunks of n lines.
+    A scan reads the size when its first chunk is read, so a lazy scan must
+    be consumed inside the context. A context manager, not a fixture, so
+    that hypothesis tests can use it per example."""
+    return mock.patch.object(corpus, "CHUNK_LINES", n)
+
+
+def reference_annotation(text: str, lexicon: Lexicon, post_id: str = "p") -> Annotation:
+    """annotate_text built only from the reference tokenize and decompose:
+    one Token per word and no memo."""
+    tokens = tokenize(text)
+    spans = []
+    for tok in tokens:
+        parses = decompose(tok.normalized, lexicon, elongated=tok.elongated)
+        if parses:
+            best = parses[0]
+            categories = frozenset(
+                c for seg in best.segments if seg.entry for c in seg.entry.categories
+            )
+            spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
+    return Annotation(post_id, tuple(spans), len(tokens), len(spans))
 
 
 def week_ts(year: int, week: int, day: int = 3, hour: int = 12) -> int:

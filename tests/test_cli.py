@@ -9,12 +9,19 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cryptolex import annotate_text, annotation_json, load_seed_lexicon, read_posts
+from cryptolex import annotation_json, load_seed_lexicon, read_posts
 from cryptolex import corpus as corpus_module
 from cryptolex import entries_to_jsonl, lexicon_from_tsv
 from cryptolex.cli import build_parser, main
 
-from conftest import BEYOND_JSON_PARSER, make_post, week_ts, write_jsonl
+from conftest import (
+    BEYOND_JSON_PARSER,
+    chunk_lines,
+    make_post,
+    reference_annotation,
+    week_ts,
+    write_jsonl,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -149,7 +156,7 @@ class TestAnnotateCommand:
     def test_strict_error_in_second_chunk_after_first_chunk_written(
         self, tmp_path, capsys, workers
     ):
-        n = corpus_module.DEFAULT_CHUNK_LINES
+        n = corpus_module.CHUNK_LINES
         lines = [
             json.dumps(make_post(f"p{i}", "u", week_ts(2020, 1), "wristcel")) for i in range(n + 2)
         ]
@@ -369,10 +376,15 @@ class TestExitContract:
 
 # A CLI-level differential property test: small corpora with malformed
 # lines, non-ASCII text and the two code points the word reader lowers word
-# by word (İ and Σ), read in 2-line chunks at one worker and at two.
+# by word (İ and Σ), read in 2-line chunks at one worker and at two, and
+# annotate's output against a reference built from tokenize and decompose.
 CLI_BAD_LINES = [b"", b"broken", b'{"id": "x"}', b"\xff\xfe", b"[1]"]
 cli_texts = st.one_of(
-    st.sampled_from(["wristcel cope", "mogging sooo hard", "currycel mogg", "the gymcels lifts"]),
+    # the last is lowered word by word, or İ's two-character lowercase
+    # splits its first word in two
+    st.sampled_from(
+        ["wristcel cope", "mogging sooo hard", "currycel mogg", "the gymcels lifts", "wİristcel ΣOOO"]
+    ),
     st.text(alphabet="İΣσςıIé wristcelmog'_", max_size=20),
     st.text(max_size=20),
 )
@@ -412,25 +424,28 @@ def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, backgrou
     posts, background = work / "posts.jsonl", work / "background.jsonl"
     posts.write_bytes(render_cli_lines(items))
     background.write_bytes(render_cli_lines(background_items))
+    missing = work / "missing.jsonl"
     commands = {
         "annotate": ["annotate", "--input", str(posts)],
+        "words": ["discover", "--input", str(posts),
+                  "--background", str(background), "--min-count", "1"],
         "affixes": ["discover", "--affixes", "--input", str(posts),
                     "--background", str(background), "--min-count", "1"],
+        "missing-background": ["discover", "--input", str(posts), "--background", str(missing)],
         "trajectory": ["trajectory", "--all", "--gaps", "--input", str(posts)],
     }
-    chunks = corpus_module._chunks
-    with pytest.MonkeyPatch.context() as mp:
-        # _map_chunks reads _chunks as a global when a scan starts, in this process
-        mp.setattr(corpus_module, "_chunks", lambda source, chunk_lines: chunks(source, 2))
+    with chunk_lines(2):
         for name, argv in commands.items():
             for mode in ([], ["--strict"]):
                 one, two = (
                     run_cli([*argv, *mode, "--workers", w], work / "out") for w in ("1", "2")
                 )
                 assert one == two, (name, mode)
+                if name == "missing-background":
+                    assert one[0] == 1, mode
     lexicon = load_seed_lexicon()
     expected = "".join(
-        annotation_json(annotate_text(post.id, post.text, lexicon)) + "\n"
+        annotation_json(reference_annotation(post.text, lexicon, post.id)) + "\n"
         for post in read_posts(posts)
     )
     code, _, _, written = run_cli([*commands["annotate"], "--workers", "2"], work / "out")

@@ -34,7 +34,14 @@ from cryptolex import corpus
 from cryptolex.corpus import MAX_CREATED_UTC, scan_annotation_lines
 from cryptolex.lexicon import AFFIX_KINDS
 
-from conftest import DEEP_NESTING_LINE, LONG_INTEGER_LINE, make_post, week_ts, write_jsonl
+from conftest import (
+    DEEP_NESTING_LINE,
+    LONG_INTEGER_LINE,
+    chunk_lines,
+    make_post,
+    week_ts,
+    write_jsonl,
+)
 
 GOOD = {"id": "p1", "user": "u1", "forum": "f", "created_utc": 1577836800, "text": "hi"}
 
@@ -121,7 +128,8 @@ class TestCreatedRange:
         report = ReadReport()
         assert len(list(read_posts(text, report=report))) == (3 if valid else 2)
         usage_report = ReadReport()
-        usage = scan_usage(text, seed_lexicon, workers=2, chunk_lines=1, report=usage_report)
+        with chunk_lines(1):
+            usage = scan_usage(text, seed_lexicon, workers=2, report=usage_report)
         assert usage_report == report
         assert (("u1", "9999-W52") in usage) == valid
         if valid:
@@ -130,10 +138,12 @@ class TestCreatedRange:
         assert report.first_error.startswith("line 2: field 'created_utc' is out of range")
         for scan in (
             lambda: list(read_posts(text, strict=True)),
-            lambda: scan_usage(text, seed_lexicon, strict=True, chunk_lines=1),
-            lambda: scan_frequency_table(text, workers=2, strict=True, chunk_lines=1),
+            lambda: scan_usage(text, seed_lexicon, strict=True),
+            lambda: scan_frequency_table(text, workers=2, strict=True),
         ):
-            with pytest.raises(PostFormatError, match="line 2: field 'created_utc' is out of"):
+            with chunk_lines(1), pytest.raises(
+                PostFormatError, match="line 2: field 'created_utc' is out of"
+            ):
                 scan()
 
 
@@ -297,23 +307,26 @@ class TestShardedScans:
     def test_matches_single_pass_build(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path)
         posts = list(read_posts(path))
-        assert (
-            scan_frequency_table(path, workers=1, chunk_lines=7).canonical_json()
-            == build_frequency_table(posts).canonical_json()
-        )
-        chunked = scan_tables([path], seed_lexicon, workers=1, chunk_lines=7)[0]
-        whole = scan_tables([path], seed_lexicon, workers=1, chunk_lines=len(posts))[0]
+        with chunk_lines(7):
+            assert (
+                scan_frequency_table(path, workers=1).canonical_json()
+                == build_frequency_table(posts).canonical_json()
+            )
+            chunked = scan_tables([path], seed_lexicon, workers=1)[0]
+        with chunk_lines(len(posts)):
+            whole = scan_tables([path], seed_lexicon, workers=1)[0]
         assert chunked.canonical_json() == whole.canonical_json()
 
     def test_worker_count_does_not_change_result(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path)
-        one = scan_frequency_table(path, workers=1, chunk_lines=5)
-        four = scan_frequency_table(path, workers=4, chunk_lines=5)
-        assert one.canonical_json() == four.canonical_json()
-        assert (
-            scan_tables([path], seed_lexicon, workers=1, chunk_lines=5)[0].canonical_json()
-            == scan_tables([path], seed_lexicon, workers=4, chunk_lines=5)[0].canonical_json()
-        )
+        with chunk_lines(5):
+            one = scan_frequency_table(path, workers=1)
+            four = scan_frequency_table(path, workers=4)
+            assert one.canonical_json() == four.canonical_json()
+            assert (
+                scan_tables([path], seed_lexicon, workers=1)[0].canonical_json()
+                == scan_tables([path], seed_lexicon, workers=4)[0].canonical_json()
+            )
 
     def test_scan_usage_cells(self, tmp_path, seed_lexicon):
         path = write_jsonl(
@@ -324,20 +337,22 @@ class TestShardedScans:
                 make_post("c", "u2", week_ts(2020, 2), "gymcel"),
             ],
         )
-        usage = scan_usage(path, seed_lexicon, workers=2, chunk_lines=1)
+        with chunk_lines(1):
+            usage = scan_usage(path, seed_lexicon, workers=2)
         assert usage[("u1", "2020-W01")] == (2, 4, 1)
         assert usage[("u2", "2020-W02")] == (1, 1, 1)
 
     def test_scan_annotations_preserves_order(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path, n=25)
-        ids = [a.post_id for a in scan_annotations(path, seed_lexicon, workers=3, chunk_lines=4)]
+        with chunk_lines(4):
+            ids = [a.post_id for a in scan_annotations(path, seed_lexicon, workers=3)]
         assert ids == [p.id for p in read_posts(path)]
 
     def test_strict_scan_raises_with_line(self, tmp_path, seed_lexicon):
         path = tmp_path / "bad.jsonl"
         path.write_text(jline(GOOD) + "\n{broken\n", encoding="utf-8")
-        with pytest.raises(PostFormatError, match="line 2"):
-            scan_frequency_table(path, workers=2, strict=True, chunk_lines=1)
+        with chunk_lines(1), pytest.raises(PostFormatError, match="line 2"):
+            scan_frequency_table(path, workers=2, strict=True)
 
     def test_invalid_utf8_line_skipped(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -345,7 +360,8 @@ class TestShardedScans:
         report = ReadReport()
         assert [p.id for p in read_posts(path, report=report)] == ["p1", "p2"]
         scan_report = ReadReport()
-        table = scan_frequency_table(path, workers=2, chunk_lines=1, report=scan_report)
+        with chunk_lines(1):
+            table = scan_frequency_table(path, workers=2, report=scan_report)
         assert table.doc_count == 2
         assert report == scan_report
         assert (report.lines, report.skipped, report.first_error) == (3, 1, "line 2: invalid UTF-8")
@@ -354,7 +370,8 @@ class TestShardedScans:
         path = tmp_path / "bad.jsonl"
         path.write_text(jline(GOOD) + "\nbroken\n" + jline({**GOOD, "id": "p2"}) + "\n")
         report = ReadReport()
-        table = scan_frequency_table(path, workers=2, chunk_lines=1, report=report)
+        with chunk_lines(1):
+            table = scan_frequency_table(path, workers=2, report=report)
         assert table.doc_count == 2
         assert report.skipped == 1
         assert "line 2" in report.first_error
@@ -364,24 +381,26 @@ class TestShardedScans:
         # consumed must not make the first one abort on its malformed line
         path = tmp_path / "bad.jsonl"
         path.write_text(jline(GOOD) + "\nbroken\n" + jline({**GOOD, "id": "p2"}) + "\n")
-        skipping = scan_annotations(path, seed_lexicon, chunk_lines=1)
-        assert next(skipping).post_id == "p1"
-        strict = scan_annotations(path, seed_lexicon, strict=True, chunk_lines=1)
-        assert next(strict).post_id == "p1"
-        assert [a.post_id for a in skipping] == ["p2"]
-        with pytest.raises(PostFormatError, match="line 2"):
-            next(strict)
+        with chunk_lines(1):
+            skipping = scan_annotations(path, seed_lexicon)
+            assert next(skipping).post_id == "p1"
+            strict = scan_annotations(path, seed_lexicon, strict=True)
+            assert next(strict).post_id == "p1"
+            assert [a.post_id for a in skipping] == ["p2"]
+            with pytest.raises(PostFormatError, match="line 2"):
+                next(strict)
 
     def test_in_process_scan_keeps_its_lexicon(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path, n=8)
         expected = [a.matched_count for a in scan_annotations(path, seed_lexicon)]
-        seeded = scan_annotations(path, seed_lexicon, chunk_lines=2)
-        first = next(seeded)
-        empty = scan_annotations(path, build_lexicon([]), chunk_lines=2)
-        assert next(empty).matched_count == 0
-        assert [first.matched_count] + [a.matched_count for a in seeded] == expected
-        assert sum(expected) > 0
-        assert sum(a.matched_count for a in empty) == 0
+        with chunk_lines(2):
+            seeded = scan_annotations(path, seed_lexicon)
+            first = next(seeded)
+            empty = scan_annotations(path, build_lexicon([]))
+            assert next(empty).matched_count == 0
+            assert [first.matched_count] + [a.matched_count for a in seeded] == expected
+            assert sum(expected) > 0
+            assert sum(a.matched_count for a in empty) == 0
 
     @pytest.mark.parametrize("seed_first", [True, False], ids=["seed-first", "empty-first"])
     def test_in_process_scan_reads_its_own_lexicons_memo(self, seed_first):
@@ -397,12 +416,13 @@ class TestShardedScans:
 
     def test_in_process_scan_frees_its_state(self, seed_lexicon):
         text = jline(GOOD) + "\n" + jline({**GOOD, "id": "p2", "text": "wristcel"}) + "\n"
-        assert scan_usage(text, seed_lexicon, chunk_lines=1) == {("u1", "2020-W01"): (2, 2, 1)}
-        assert corpus._state is None
-        annotations = scan_annotations(text, seed_lexicon, chunk_lines=1)
-        assert next(annotations).post_id == "p1"
-        annotations.close()
-        assert corpus._state is None
+        with chunk_lines(1):
+            assert scan_usage(text, seed_lexicon) == {("u1", "2020-W01"): (2, 2, 1)}
+            assert corpus._state is None
+            annotations = scan_annotations(text, seed_lexicon)
+            assert next(annotations).post_id == "p1"
+            annotations.close()
+            assert corpus._state is None
 
     def test_user_scan_counts_only_that_users_posts(self, seed_lexicon, monkeypatch):
         counted = []
@@ -439,8 +459,8 @@ class TestTwoSourceScan:
         for lexicon in (None, seed_lexicon):
             for workers in (1, 2):
                 sources = [target, background]
-                with pytest.raises(PostFormatError) as err:
-                    scan_tables(sources, lexicon, workers=workers, strict=True, chunk_lines=1)
+                with chunk_lines(1), pytest.raises(PostFormatError) as err:
+                    scan_tables(sources, lexicon, workers=workers, strict=True)
                 assert err.value.line == 3
                 assert str(err.value) == str(expected.value)
 
@@ -449,10 +469,11 @@ class TestTwoSourceScan:
         target.write_text((jline(GOOD) + "\n") * 3 + "{\n", encoding="utf-8")
         background = tmp_path / "background.jsonl"
         background.write_text("broken\n", encoding="utf-8")
-        with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
-            scan_tables([target, background], workers=2, strict=True, chunk_lines=1)
         report = ReadReport()
-        tables = scan_tables([target, background], workers=2, chunk_lines=1, report=report)
+        with chunk_lines(1):
+            with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
+                scan_tables([target, background], workers=2, strict=True)
+            tables = scan_tables([target, background], workers=2, report=report)
         assert [t.doc_count for t in tables] == [3, 0]
         assert tables[1] == FrequencyTable()
         assert (report.lines, report.skipped) == (5, 2)
@@ -467,13 +488,12 @@ class TestTwoSourceScan:
             for workers in (1, 2):
                 # at two workers the missing file is opened while the target's
                 # chunks are still in flight
-                with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
-                    scan_tables(
-                        [target, missing], lexicon, workers=workers, strict=True, chunk_lines=1
-                    )
                 report = ReadReport()
-                with pytest.raises(FileNotFoundError):
-                    scan_tables([target, missing], lexicon, workers=workers, chunk_lines=1, report=report)
+                with chunk_lines(1):
+                    with pytest.raises(PostFormatError, match="line 4: invalid JSON"):
+                        scan_tables([target, missing], lexicon, workers=workers, strict=True)
+                    with pytest.raises(FileNotFoundError):
+                        scan_tables([target, missing], lexicon, workers=workers, report=report)
                 assert (report.lines, report.skipped) == (4, 1)
 
 
@@ -494,16 +514,19 @@ class TestEarlyEnd:
 
     def test_chunk_error_skips_queued_chunks(self, tmp_path):
         lines = ["fail"] + [str(tmp_path / f"chunk{i}") for i in range(2, 21)]
-        with pytest.raises(PostFormatError, match="line 1: planted"):
-            list(corpus._map_chunks([lines], _record_chunk, None, 2, 1, None, strict=True))
+        state = corpus._ScanState(None, strict=True)
+        with chunk_lines(1), pytest.raises(PostFormatError, match="line 1: planted"):
+            list(corpus._map_chunks([lines], _record_chunk, state, 2, None))
         # the two workers took chunks 2 and 3 as chunk 1 failed
         assert len(list(tmp_path.iterdir())) <= 2
 
     def test_consumer_stopping_early_skips_queued_chunks(self, tmp_path):
         lines = [str(tmp_path / f"chunk{i}") for i in range(1, 21)]
-        parts = corpus._map_chunks([lines], _record_chunk, None, 2, 1, None)
-        assert next(parts) == (0, None)
-        parts.close()
+        state = corpus._ScanState(None, strict=False)
+        with chunk_lines(1):
+            parts = corpus._map_chunks([lines], _record_chunk, state, 2, None)
+            assert next(parts) == (0, None)
+            parts.close()
         # chunks 1 and 2 ran, and the workers had taken 3 and 4
         assert len(list(tmp_path.iterdir())) <= 4
 
@@ -636,47 +659,46 @@ class Corpus:
 @settings(max_examples=30, deadline=None)
 @given(scan_lines, scan_lines, st.integers(1, 4))
 def test_scan_invariant_to_source_workers_and_chunks(
-    tmp_path_factory, seed_lexicon, items, background_items, chunk_lines
+    tmp_path_factory, seed_lexicon, items, background_items, size
 ):
     work = tmp_path_factory.mktemp("scan")
     target = Corpus(items, work / "posts.jsonl", seed_lexicon)
     background = Corpus(background_items, work / "background.jsonl", seed_lexicon)
     expected, reference = target.expected, target.report
-    for make_source in target.sources():
-        for workers in (1, 2):
-            kwargs = {"workers": workers, "chunk_lines": chunk_lines}
-            for name, scan in SCANS.items():
-                report = ReadReport()
-                result = scan(make_source(), seed_lexicon, report=report, **kwargs)
-                assert result == expected[name], name
-                assert report == reference, name
-                if target.bad:
-                    with pytest.raises(PostFormatError) as err:
-                        scan(make_source(), seed_lexicon, strict=True, **kwargs)
-                    assert err.value.line == target.bad[0], name
-                    assert str(err.value) == str(target.strict_error), name
-    # the folded report of both sources is the sum of read_posts' reports,
-    # and strict mode raises on the target's first bad line, else the
-    # background's, as a scan of that source alone would
-    both = ReadReport(
-        reference.lines + background.report.lines,
-        reference.parsed + background.report.parsed,
-        reference.skipped + background.report.skipped,
-        reference.first_error or background.report.first_error,
-    )
-    first = target if target.bad else background
-    for make_target, make_background in zip(target.sources(), background.sources()):
-        for workers in (1, 2):
-            kwargs = {"workers": workers, "chunk_lines": chunk_lines}
-            for name, scan in PAIR_SCANS.items():
-                report = ReadReport()
-                sources = [make_target(), make_background()]
-                result = scan(sources, seed_lexicon, report=report, **kwargs)
-                assert result == [target.expected[name], background.expected[name]], name
-                assert report == both, name
-                if first.bad:
+    with chunk_lines(size):
+        for make_source in target.sources():
+            for workers in (1, 2):
+                for name, scan in SCANS.items():
+                    report = ReadReport()
+                    result = scan(make_source(), seed_lexicon, report=report, workers=workers)
+                    assert result == expected[name], name
+                    assert report == reference, name
+                    if target.bad:
+                        with pytest.raises(PostFormatError) as err:
+                            scan(make_source(), seed_lexicon, strict=True, workers=workers)
+                        assert err.value.line == target.bad[0], name
+                        assert str(err.value) == str(target.strict_error), name
+        # the folded report of both sources is the sum of read_posts' reports,
+        # and strict mode raises on the target's first bad line, else the
+        # background's, as a scan of that source alone would
+        both = ReadReport(
+            reference.lines + background.report.lines,
+            reference.parsed + background.report.parsed,
+            reference.skipped + background.report.skipped,
+            reference.first_error or background.report.first_error,
+        )
+        first = target if target.bad else background
+        for make_target, make_background in zip(target.sources(), background.sources()):
+            for workers in (1, 2):
+                for name, scan in PAIR_SCANS.items():
+                    report = ReadReport()
                     sources = [make_target(), make_background()]
-                    with pytest.raises(PostFormatError) as err:
-                        scan(sources, seed_lexicon, strict=True, **kwargs)
-                    assert err.value.line == first.bad[0], name
-                    assert str(err.value) == str(first.strict_error), name
+                    result = scan(sources, seed_lexicon, report=report, workers=workers)
+                    assert result == [target.expected[name], background.expected[name]], name
+                    assert report == both, name
+                    if first.bad:
+                        sources = [make_target(), make_background()]
+                        with pytest.raises(PostFormatError) as err:
+                            scan(sources, seed_lexicon, strict=True, workers=workers)
+                        assert err.value.line == first.bad[0], name
+                        assert str(err.value) == str(first.strict_error), name

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from cryptolex import (
     lexicon_from_tsv,
     load_blocklist,
     load_lexicon,
+    normalize_token,
     validate,
 )
 from cryptolex.lexicon import TSV_COLUMNS, _tsv_safe
@@ -180,13 +182,21 @@ class TestBlocklist:
     def test_unicode_line_separator_is_not_a_line_break(self):
         assert load_blocklist("cell\u2028mate\r\n") == frozenset({"cell\u2028mate"})
 
+    def test_letter_runs_collapse_as_in_tokens(self, seed_lexicon):
+        # decompose checks the blocklist with collapsed forms only, so an
+        # uncollapsed line would block nothing
+        assert load_blocklist("Gymcelll  # gym + cel\n") == frozenset({"gymcell"})
+        for line in ("Gymcelll", "gymcell"):
+            lexicon = build_lexicon(seed_lexicon.entries, load_blocklist(line))
+            assert annotate_text("p", "a gymcelll lifts", lexicon).matched_count == 0
+
 
 @given(st.lists(definitions, max_size=4))
 def test_blocklist_lines_split_on_newline_only(texts):
     """One word per "\\n"-separated line, from LF and from CRLF files,
     whatever other line separators a word holds."""
     words = [_tsv_safe(t) for t in texts]
-    expected = {w.split("#", 1)[0].strip().lower() for w in words} - {""}
+    expected = {normalize_token(w.split("#", 1)[0].strip())[0] for w in words} - {""}
     text = "\n".join(words) + "\n"
     for source in (text, text.replace("\n", "\r\n")):
         assert load_blocklist(source) == expected
@@ -265,6 +275,16 @@ class TestSerialization:
         text = entries_to_jsonl(seed_lexicon.entries)
         back = load_lexicon(text, seed_lexicon.blocklist)
         assert back.entries == seed_lexicon.entries
+
+    def test_pickle_leaves_the_memo_behind(self, seed_lexicon):
+        # a worker started by spawn or forkserver receives its lexicon
+        # pickled, and should not receive the parent's whole memo with it
+        lexicon = build_lexicon(seed_lexicon.entries, seed_lexicon.blocklist)
+        assert annotate_text("p", "a wristcel lurks sooo", lexicon).matched_count == 1
+        assert lexicon.memo
+        copy = pickle.loads(pickle.dumps(lexicon))
+        assert copy == lexicon
+        assert copy.memo == {}
 
 
 @given(

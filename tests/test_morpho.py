@@ -24,7 +24,9 @@ from cryptolex import (
 )
 from cryptolex import morpho
 from cryptolex.lexicon import AFFIX_KINDS, INFLECTIONS, LETTER_RUN3
-from cryptolex.morpho import _WORD, Annotation, Span, annotation_json, match_counts
+from cryptolex.morpho import _WORD, annotation_json, match_counts
+
+from conftest import reference_annotation
 
 
 class TestNormalize:
@@ -340,22 +342,6 @@ run_text = st.lists(
 def cold(lexicon):
     """A copy of lexicon with an empty memo."""
     return build_lexicon(lexicon.entries, lexicon.blocklist)
-
-
-def reference_annotation(text, lexicon):
-    """annotate_text built only from the reference tokenize and decompose:
-    one Token per word and no memo."""
-    tokens = tokenize(text)
-    spans = []
-    for tok in tokens:
-        parses = decompose(tok.normalized, lexicon, elongated=tok.elongated)
-        if parses:
-            best = parses[0]
-            categories = frozenset(
-                c for seg in best.segments if seg.entry for c in seg.entry.categories
-            )
-            spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
-    return Annotation("p", tuple(spans), len(tokens), len(spans))
 
 
 def assert_views_match_reference(text, lexicon):
