@@ -17,7 +17,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lexicon import AFFIX_KINDS, Lexicon, parse_json_line
+from .lexicon import AFFIX_KINDS, Lexicon, parse_json_line, read_lines
 from .morpho import (
     Annotation,
     _best_parses,
@@ -130,16 +130,13 @@ def parse_post_line(raw: str | bytes, line: int | None = None) -> Post:
 
 
 def _as_lines(source: Path | str | Iterable[str | bytes]) -> Iterator[str | bytes]:
-    """Split a source on "\\n" only, as JSON Lines does. A Path yields
-    undecoded bytes, so invalid UTF-8 spoils one line, not the read."""
+    """Split a source on "\\n" only, as JSON Lines does, a str by read_lines.
+    A Path yields undecoded bytes, so invalid UTF-8 spoils one line, not the read."""
     if isinstance(source, Path):
         with source.open("rb") as handle:
             yield from handle
     elif isinstance(source, str):
-        lines = source.split("\n")
-        if lines[-1] == "":
-            lines.pop()  # a final newline ends the last line, not a new one
-        yield from lines
+        yield from read_lines(source)
     else:
         yield from source
 

@@ -94,6 +94,13 @@ def _check_surface_form(form: str, what: str) -> None:
         raise LexiconFormatError(f"{what}: {form!r} contains a letter run longer than two")
 
 
+def normalize_token(raw: str) -> tuple[str, bool]:
+    """Lowercase and collapse letter runs of three or more down to two."""
+    lowered = raw.lower()
+    collapsed = LETTER_RUN3.sub(r"\1\1", lowered)
+    return collapsed, collapsed != lowered
+
+
 def _index():
     # built from entries by Lexicon.__post_init__, so equality and repr skip it
     return field(init=False, repr=False, compare=False)
@@ -104,7 +111,9 @@ class Lexicon:
     """Entry collection plus lookup indexes, built from entries.
 
     Do not change entries or blocklist after construction; build a new one
-    instead. Every surface and variant names exactly one entry, so forms
+    instead. Blocklist words are normalized as tokens are, as decompose
+    checks them, so "GYMCEL" and "gymcel" block alike and make equal
+    lexicons. Every surface and variant names exactly one entry, so forms
     maps each to its entry; a collision makes lookup ambiguous, so it is an
     error rather than a warning. Affix forms are kept in longest-first
     order for the segmenter. may_parse is the segmenter's fast reject: a
@@ -122,6 +131,7 @@ class Lexicon:
     memo: dict = _index()
 
     def __post_init__(self):
+        self.blocklist = frozenset(normalize_token(word)[0] for word in self.blocklist)
         forms: dict[str, LexiconEntry] = {}
         for entry in self.entries:
             if entry.surface in forms:
@@ -250,40 +260,34 @@ def parse_lexicon_lines(lines: Iterable[str]) -> list[LexiconEntry]:
     return entries
 
 
+def read_lines(source: str | Path) -> list[str]:
+    """The lines of a text (str) or of a UTF-8 file (Path), split on "\\n"
+    only: one trailing "\\r" per line is dropped, so LF and CRLF files read
+    alike, and a final newline ends the last line rather than starting an
+    empty one. A file is decoded without newline translation, and
+    str.splitlines is not used, so a line keeps a lone \\r, \\x0c, \\x85,
+    U+2028 and other characters a definition or word may hold."""
+    text = source.read_bytes().decode("utf-8") if isinstance(source, Path) else source
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
 def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
     """Load a lexicon from a JSON Lines file (Path) or raw text (str).
 
-    Entry order in the file is preserved. The optional blocklist is attached
-    as-is; see load_blocklist for the file format.
+    Entry order in the file is preserved. The lexicon normalizes the
+    optional blocklist's words; see load_blocklist for the file format.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = source
-    # "\n" only: splitlines would break a record at a raw U+2028 and the like
-    return build_lexicon(parse_lexicon_lines(text.split("\n")), blocklist)
-
-
-def split_lines(text: str) -> list[str]:
-    """Split on "\\n" only, dropping one trailing "\\r" per line, so LF and
-    CRLF files read alike; str.splitlines would also break a line at \\x0c,
-    \\x85, U+2028 and other characters a definition or word may hold."""
-    return [line.removesuffix("\r") for line in text.split("\n")]
+    return build_lexicon(parse_lexicon_lines(read_lines(source)), blocklist)
 
 
 def load_blocklist(source: str | Path) -> frozenset[str]:
     """Read a blocklist: one word per line, '#' comments and blanks ignored,
     normalized as tokens are: lowercased, letter runs collapsed to two."""
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = source
-    words = set()
-    for raw in split_lines(text):
-        word = LETTER_RUN3.sub(r"\1\1", raw.split("#", 1)[0].strip().lower())
-        if word:
-            words.add(word)
-    return frozenset(words)
+    words = {normalize_token(line.split("#", 1)[0].strip())[0] for line in read_lines(source)}
+    return frozenset(words - {""})
 
 
 def _seed_text(name: str) -> str:
@@ -395,7 +399,7 @@ def export_tsv(lexicon: Lexicon) -> str:
 def lexicon_from_tsv(text: str, blocklist: frozenset[str] = frozenset()) -> Lexicon:
     """Rebuild a Lexicon from export_tsv output (source comes back empty)."""
     # numbered before blank lines drop out, so errors name the physical line
-    rows = [(lineno, line) for lineno, line in enumerate(split_lines(text), start=1) if line]
+    rows = [(lineno, line) for lineno, line in enumerate(read_lines(text), start=1) if line]
     if not rows or tuple(rows[0][1].split("\t")) != TSV_COLUMNS:
         raise LexiconFormatError("missing or mangled TSV header")
     entries = []

@@ -16,7 +16,7 @@ from itertools import compress, repeat
 from json.encoder import encode_basestring  # json.dumps' string encoder, ensure_ascii=False
 from operator import is_
 
-from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry
+from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry, normalize_token
 
 MIN_STEM = 3  # shortest novel stem accepted under a productive affix
 MIN_BASE = 3  # shortest base left behind by inflection stripping
@@ -103,13 +103,6 @@ class Annotation:
     spans: tuple[Span, ...]
     token_count: int
     matched_count: int
-
-
-def normalize_token(raw: str) -> tuple[str, bool]:
-    """Lowercase and collapse letter runs of three or more down to two."""
-    lowered = raw.lower()
-    collapsed = LETTER_RUN3.sub(r"\1\1", lowered)
-    return collapsed, collapsed != lowered
 
 
 def tokenize(text: str) -> list[Token]:

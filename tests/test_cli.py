@@ -5,14 +5,29 @@ import csv
 import io
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cryptolex import annotation_json, load_seed_lexicon, read_posts
+from cryptolex import (
+    FrequencyTable,
+    ReadReport,
+    annotation_json,
+    detect_gaps,
+    export_series,
+    iso_week,
+    load_seed_lexicon,
+    log_ratio_rank,
+    read_posts,
+    rows_to_tsv,
+    series_from_counts,
+    tokenize,
+)
 from cryptolex import corpus as corpus_module
 from cryptolex import entries_to_jsonl, lexicon_from_tsv
 from cryptolex.cli import build_parser, main
+from cryptolex.lexicon import AFFIX_KINDS
 
 from conftest import (
     BEYOND_JSON_PARSER,
@@ -407,6 +422,62 @@ def render_cli_lines(items) -> bytes:
     return b"".join(out)
 
 
+def skip_summary(report: ReadReport) -> str:
+    if not report.skipped:
+        return ""
+    return f"skipped {report.skipped} malformed lines (first: {report.first_error})\n"
+
+
+def productive_affixes(text: str, lexicon) -> list[str]:
+    return [
+        seg.entry.surface
+        for span in reference_annotation(text, lexicon).spans
+        for seg in span.parse.segments
+        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
+    ]
+
+
+def reference_discover(posts, background, words) -> tuple[int, str, str, bytes | None]:
+    """What skip-mode discover --min-count 1 gives, in one process: each
+    source's table from words(text) over read_posts, ranked and rendered."""
+    report, tables = ReadReport(), []
+    for source in (posts, background):
+        source_report = ReadReport()
+        texts = [post.text for post in read_posts(source, report=source_report)]
+        report.add(source_report)
+        counts = Counter(word for text in texts for word in words(text))
+        tables.append(FrequencyTable(dict(counts), sum(counts.values()), len(texts)))
+    for which, table in zip(("target", "background"), tables):
+        if not table.counts:
+            return 1, "", f"error: {which} table is empty\n", None
+    target, background = tables
+    rows = log_ratio_rank(target, background, min_count=1)
+    summary = (
+        f"candidates {len(rows)} (target {target.total_tokens} tokens, "
+        f"background {background.total_tokens} tokens)\n"
+    )
+    return 0, "", skip_summary(report) + summary, rows_to_tsv(rows).encode()
+
+
+def reference_trajectory(posts, lexicon) -> tuple[int, str, str, bytes | None]:
+    """What skip-mode trajectory --all --gaps gives, in one process: usage
+    cells from the best parses of reference_annotation."""
+    report, usage = ReadReport(), {}
+    for post in read_posts(posts, report=report):
+        ann = reference_annotation(post.text, lexicon, post.id)
+        key = (post.user, iso_week(post.created_utc))
+        n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
+        usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+    if not usage:
+        return 1, "", skip_summary(report) + "error: empty corpus: no posts parsed\n", None
+    per_user: dict = {}
+    for (user, week), cell in usage.items():
+        per_user.setdefault(user, {})[week] = cell
+    gaps = [detect_gaps(series_from_counts(user, per_user[user])) for user in sorted(per_user)]
+    summary = f"users {len(gaps)} gaps {sum(len(r.gaps) for r in gaps)}\n"
+    return 0, "", skip_summary(report) + summary, export_series(gaps).encode()
+
+
 def run_cli(argv: list[str], output) -> tuple[int, str, str, bytes | None]:
     """main's exit code, stdout, stderr and output file, which it removes."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -434,6 +505,17 @@ def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, backgrou
         "missing-background": ["discover", "--input", str(posts), "--background", str(missing)],
         "trajectory": ["trajectory", "--all", "--gaps", "--input", str(posts)],
     }
+    lexicon = load_seed_lexicon()
+    # skip-mode outputs from one process, without the scans or the memo
+    references = {
+        "words": reference_discover(
+            posts, background, lambda text: [t.normalized for t in tokenize(text)]
+        ),
+        "affixes": reference_discover(
+            posts, background, lambda text: productive_affixes(text, lexicon)
+        ),
+        "trajectory": reference_trajectory(posts, lexicon),
+    }
     with chunk_lines(2):
         for name, argv in commands.items():
             for mode in ([], ["--strict"]):
@@ -443,7 +525,8 @@ def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, backgrou
                 assert one == two, (name, mode)
                 if name == "missing-background":
                     assert one[0] == 1, mode
-    lexicon = load_seed_lexicon()
+                if name in references and not mode:
+                    assert one == references[name], name
     expected = "".join(
         annotation_json(reference_annotation(post.text, lexicon, post.id)) + "\n"
         for post in read_posts(posts)

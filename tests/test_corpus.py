@@ -552,25 +552,29 @@ post_texts = st.one_of(
     st.text(alphabet="İΣσςıI wristcelmog'_", max_size=30),
 )
 
+# (kind, value, line end): LF and CRLF ends mix within one corpus
 scan_lines = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["u1", "u2"]), st.integers(1, 3), post_texts).map(
-            lambda post: ("post", post)
+    st.tuples(
+        st.one_of(
+            st.tuples(st.sampled_from(["u1", "u2"]), st.integers(1, 3), post_texts).map(
+                lambda post: ("post", post)
+            ),
+            st.sampled_from(MALFORMED).map(lambda bad: ("bad", bad)),
         ),
-        st.sampled_from(MALFORMED).map(lambda bad: ("bad", bad)),
-    ),
+        st.sampled_from(["\n", "\r\n"]),
+    ).map(lambda line: (*line[0], line[1])),
     max_size=12,
 )
 
 
 def render_lines(items) -> str:
     out = []
-    for i, (kind, value) in enumerate(items):
+    for i, (kind, value, end) in enumerate(items):
         if kind == "post":
             user, week, text = value
             record = {**GOOD, "id": f"p{i}", "user": user, "created_utc": week_ts(2020, week)}
             value = json.dumps({**record, "text": text}, ensure_ascii=False)
-        out.append(value + "\n")
+        out.append(value + end)
     return "".join(out)
 
 
@@ -644,7 +648,7 @@ class Corpus:
         self.path = path
         self.report = ReadReport()
         self.expected = reference_scans(list(read_posts(self.text, report=self.report)), lexicon)
-        self.bad = [i for i, (kind, _) in enumerate(items, start=1) if kind == "bad"]
+        self.bad = [i for i, (kind, *_) in enumerate(items, start=1) if kind == "bad"]
         self.strict_error = None
         if self.bad:
             with pytest.raises(PostFormatError) as first_bad:

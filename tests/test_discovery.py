@@ -149,8 +149,9 @@ class TestExports:
             import_review_sheet("\n".join(bad) + "\n")
 
     def test_review_sheet_header_checked(self):
-        with pytest.raises(DiscoveryError):
-            import_review_sheet("token\tstuff\n")
+        for sheet in ("token\tstuff\n", ""):
+            with pytest.raises(DiscoveryError):
+                import_review_sheet(sheet)
 
     def test_review_sheet_keeps_unicode_line_separators(self):
         lines = review_sheet(ROWS[:1]).splitlines()
@@ -174,8 +175,12 @@ def test_review_sheet_any_definition(texts):
 
 
 @given(st.lists(definitions, max_size=4))
-def test_stoplist_lines_split_on_newline_only(texts):
+def test_stoplist_lines_split_on_newline_only(tmp_path_factory, texts):
     words = [_tsv_safe(t) for t in texts]
+    expected = {normalize_token(w.strip())[0] for w in words if w.strip()}
     text = "\n".join(words) + "\n"
+    path = tmp_path_factory.mktemp("stoplist") / "stoplist.txt"
     for source in (text, text.replace("\n", "\r\n")):
-        assert load_stoplist(source) == {normalize_token(w.strip())[0] for w in words if w.strip()}
+        path.write_bytes(source.encode("utf-8"))
+        assert load_stoplist(source) == expected
+        assert load_stoplist(path) == expected

@@ -23,7 +23,7 @@ from cryptolex import (
     normalize_token,
     validate,
 )
-from cryptolex.lexicon import TSV_COLUMNS, _tsv_safe
+from cryptolex.lexicon import TSV_COLUMNS, _tsv_safe, read_lines
 
 from conftest import BEYOND_JSON_PARSER, definitions
 
@@ -190,16 +190,52 @@ class TestBlocklist:
             lexicon = build_lexicon(seed_lexicon.entries, load_blocklist(line))
             assert annotate_text("p", "a gymcelll lifts", lexicon).matched_count == 0
 
+    def test_lexicon_normalizes_a_blocklist_it_is_given(self, seed_lexicon):
+        # however a lexicon is built, its blocklist holds the forms
+        # decompose checks: "GYMCEL" blocks both words, "gymcelll" (collapsed
+        # to "gymcell") blocks the elongated one
+        for words, matched in ((["GYMCEL"], 0), (["gymcelll"], 1)):
+            lexicon = build_lexicon(seed_lexicon.entries, words)
+            assert annotate_text("p", "a gymcelll lifts gymcel", lexicon).matched_count == matched
+
+    def test_blocklists_equal_once_normalized(self, seed_lexicon):
+        shouted = Lexicon(seed_lexicon.entries, frozenset({"GYMCEL"}))
+        assert shouted == Lexicon(seed_lexicon.entries, frozenset({"gymcel"}))
+        assert shouted.blocklist == frozenset({"gymcel"})
+        assert pickle.loads(pickle.dumps(shouted)) == shouted
+
 
 @given(st.lists(definitions, max_size=4))
-def test_blocklist_lines_split_on_newline_only(texts):
-    """One word per "\\n"-separated line, from LF and from CRLF files,
-    whatever other line separators a word holds."""
+def test_blocklist_lines_split_on_newline_only(tmp_path_factory, texts):
+    """One word per "\\n"-separated line, from LF and from CRLF files and
+    texts, whatever other line separators a word holds."""
     words = [_tsv_safe(t) for t in texts]
     expected = {normalize_token(w.split("#", 1)[0].strip())[0] for w in words} - {""}
     text = "\n".join(words) + "\n"
+    path = tmp_path_factory.mktemp("blocklist") / "blocklist.txt"
     for source in (text, text.replace("\n", "\r\n")):
+        path.write_bytes(source.encode("utf-8"))
         assert load_blocklist(source) == expected
+        assert load_blocklist(path) == expected
+
+
+@given(st.lists(definitions, max_size=4), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_read_lines_path_and_text_agree(tmp_path_factory, texts, end, final_newline):
+    """A file reads as its text does. Lines come back without their LF or
+    CRLF ends, whatever other line separators they hold, and a final
+    newline starts no empty line."""
+    path = tmp_path_factory.mktemp("lines") / "text.txt"
+    lines = [t.replace("\n", "").rstrip("\r") for t in texts]
+    # without a final newline, a trailing empty line is not in the text
+    expected = lines[:-1] if lines and not lines[-1] and not final_newline else lines
+    for parts, want in ((texts, None), (lines, expected)):
+        text = "".join(p + end for p in parts) if final_newline else end.join(parts)
+        path.write_bytes(text.encode("utf-8"))
+        got = read_lines(text)
+        assert read_lines(path) == got
+        assert not any("\n" in line for line in got)
+        if want is not None:
+            assert got == want
 
 
 class TestValidate:
@@ -210,9 +246,11 @@ class TestValidate:
         assert [w.surface for w in warnings] == ["fuel"]
 
     def test_blocklisted_surface_is_error(self):
-        lex = build_lexicon([entry("cancel")], blocklist=frozenset({"cancel"}))
-        issues = validate(lex)
-        assert any(i.severity == "error" and i.surface == "cancel" for i in issues)
+        # the lexicon normalizes its blocklist, so case hides no clash
+        for word in ("cancel", "CANCEL"):
+            lex = build_lexicon([entry("cancel")], blocklist=frozenset({word}))
+            issues = validate(lex)
+            assert any(i.severity == "error" and i.surface == "cancel" for i in issues)
 
     def test_empty_categories_warning(self):
         lex = build_lexicon([entry("foo")])
