@@ -15,7 +15,7 @@ from . import __version__
 from .corpus import (
     PostFormatError,
     ReadReport,
-    scan_annotation_lines,
+    scan_annotations,
     scan_tables,
     scan_usage,
 )
@@ -159,7 +159,8 @@ def run_annotate(args) -> int:
     lexicon = _load_cli_lexicon(args)
     tokens = matched = 0
     if args.plain:
-        text = Path(args.input).read_text(encoding="utf-8")
+        # not read_text: its newline translation would shift every offset after a "\r\n"
+        text = Path(args.input).read_bytes().decode("utf-8")
         ann = annotate_text("plain", text, lexicon)
         with _open_output(args.output) as out:
             out.write(annotation_json(ann) + "\n")
@@ -170,7 +171,7 @@ def run_annotate(args) -> int:
     else:
         report = ReadReport()
         with _open_output(args.output) as out:
-            for text, n_tokens, n_matched in scan_annotation_lines(
+            for text, n_tokens, n_matched in scan_annotations(
                 Path(args.input), lexicon, workers=args.workers, strict=args.strict, report=report
             ):
                 out.write(text)
@@ -208,7 +209,7 @@ def run_discover(args) -> int:
         f"background {background.total_tokens} tokens)",
         file=sys.stderr,
     )
-    if args.sheet:
+    if args.format == "sheet":
         text = review_sheet(rows)
     elif args.format == "jsonl":
         text = rows_to_jsonl(rows)
@@ -287,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--alpha", type=_positive_float, default=0.5, help="smoothing constant (default 0.5)")
     dis.add_argument("--top-k", type=_positive_int, default=1000, help="candidate window (default 1000)")
     dis.add_argument("--min-count", type=_positive_int, default=5, help="minimum target count (default 5)")
-    dis.add_argument("--sheet", action="store_true", help="emit a review sheet for manual coding")
-    dis.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
+    dis.add_argument("--format", choices=("tsv", "jsonl", "sheet"), default="tsv", help="sheet: review sheet to code")
     _add_lexicon_flags(dis)
     _add_scan_flags(dis)
     dis.add_argument("--output", type=_path, metavar="PATH")

@@ -19,7 +19,6 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lexicon import AFFIX_KINDS, Lexicon, parse_json_line, read_lines
 from .morpho import (
-    Annotation,
     _best_parses,
     annotate_text,
     annotation_json,
@@ -334,17 +333,6 @@ def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
     return fold_usage(posts, _state.lexicon, _user_week), report
 
 
-def _annotate_posts(chunk, report: ReadReport) -> Iterator[Annotation]:
-    """The one per-post annotate body of both annotation scans."""
-    for post in _chunk_posts(chunk, report):
-        yield annotate_text(post.id, post.text, _state.lexicon)
-
-
-def _scan_annotations_chunk(chunk) -> tuple[list[Annotation], ReadReport]:
-    report = ReadReport()
-    return list(_annotate_posts(chunk, report)), report
-
-
 def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
     # rendered in the worker, so the parent only writes text: unpickling and
     # rendering an Annotation per post kept the parent as busy as a worker.
@@ -352,7 +340,8 @@ def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
     report = ReadReport()
     lines = []
     tokens = matched = 0
-    for ann in _annotate_posts(chunk, report):
+    for post in _chunk_posts(chunk, report):
+        ann = annotate_text(post.id, post.text, _state.lexicon)
         lines.append(annotation_json(ann) + "\n")
         tokens += ann.token_count
         matched += ann.matched_count
@@ -509,26 +498,12 @@ def scan_annotations(
     workers: int = 1,
     strict: bool = False,
     report: ReadReport | None = None,
-) -> Iterator[Annotation]:
-    """Annotate a corpus, yielding annotations in input order."""
-    state = _ScanState(lexicon, strict)
-    for _, anns in _map_chunks([source], _scan_annotations_chunk, state, workers, report):
-        yield from anns
-
-
-def scan_annotation_lines(
-    source,
-    lexicon: Lexicon,
-    *,
-    workers: int = 1,
-    strict: bool = False,
-    report: ReadReport | None = None,
 ) -> Iterator[tuple[str, int, int]]:
-    """scan_annotations rendered, one (text, tokens, matched) item per
-    chunk in input order: the chunk's annotation_json lines, each ending
-    in "\\n", and its token and matched counts; report.parsed counts the
+    """Annotate a corpus, yielding one (text, tokens, matched) item per
+    chunk in input order: the chunk's annotation_json lines, each ending in
+    "\\n", and its token and matched counts; report.parsed counts the
     posts. Workers render, so the caller receives text rather than an
     Annotation per post."""
     state = _ScanState(lexicon, strict)
-    for _, lines in _map_chunks([source], _scan_annotate_chunk, state, workers, report):
-        yield lines
+    for _, item in _map_chunks([source], _scan_annotate_chunk, state, workers, report):
+        yield item

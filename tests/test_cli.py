@@ -8,7 +8,7 @@ import os
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cryptolex import (
     FrequencyTable,
@@ -125,6 +125,24 @@ class TestAnnotateCommand:
         assert [s["term"] for s in record["spans"]] == ["Stacy", "gymcel"]
         assert "matched terms: Stacy, gymcel" in captured.err
 
+    def test_plain_mode_offsets_count_carriage_returns(self, tmp_path, capsys):
+        # offsets index the file's own text: a newline-translating read
+        # would put wristcel at 5, one short
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(b"cope\r\nwristcel\r\n")
+        assert main(["annotate", "--plain", "--input", str(doc)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        spans = {s["term"]: (s["start"], s["end"]) for s in record["spans"]}
+        assert spans["wristcel"] == (6, 14)
+
+    def test_plain_mode_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(b"wristcel \xff\n")
+        assert main(["annotate", "--plain", "--input", str(doc)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
     def test_output_file_and_worker_independence(self, corpus, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -239,12 +257,13 @@ class TestDiscoverCommand:
         assert tokens and set(tokens) <= {"cel", "maxx", "mog", "fuel", "chad", "curry"}
 
     def test_sheet_output(self, corpus, background, capsys):
-        main(
-            ["discover", "--input", str(corpus), "--background", str(background),
-             "--min-count", "1", "--sheet", "--workers", "1"]
-        )
+        argv = ["discover", "--input", str(corpus), "--background", str(background),
+                "--min-count", "1", "--workers", "1"]
+        assert main([*argv, "--format", "sheet"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.endswith("definition\tdehumanizing\tracist\tmisogynistic")
+        # the sheet is one --format value, not a flag that overrides --format
+        assert main([*argv, "--sheet"]) == 2
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_missing_background_after_bad_target_line(self, corpus, tmp_path, capsys, strict):
@@ -488,8 +507,22 @@ def run_cli(argv: list[str], output) -> tuple[int, str, str, bytes | None]:
     return code, stdout.getvalue(), stderr.getvalue(), written
 
 
+# three users, first seen in unsorted order, each with a 5-week gap: the
+# gap rows come out in sorted user order, which the reference checks
+USER_ORDER_EXAMPLE = [
+    ("u3", 1, "wristcel cope"),
+    ("u1", 1, "mogging sooo hard"),
+    ("u2", 2, "currycel mogg"),
+    b"broken",
+    ("u3", 7, "the gymcels lifts"),
+    ("u2", 8, "wristcel"),
+    ("u1", 7, "cope"),
+]
+
+
 @settings(max_examples=25, deadline=None)
 @given(cli_lines, cli_lines)
+@example(USER_ORDER_EXAMPLE, [("u1", 1, "plain words")])
 def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, background_items):
     work = tmp_path_factory.mktemp("cli")
     posts, background = work / "posts.jsonl", work / "background.jsonl"

@@ -31,7 +31,7 @@ from cryptolex import (
     week_index,
 )
 from cryptolex import corpus
-from cryptolex.corpus import MAX_CREATED_UTC, scan_annotation_lines
+from cryptolex.corpus import MAX_CREATED_UTC
 from cryptolex.lexicon import AFFIX_KINDS
 
 from conftest import (
@@ -345,8 +345,9 @@ class TestShardedScans:
     def test_scan_annotations_preserves_order(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path, n=25)
         with chunk_lines(4):
-            ids = [a.post_id for a in scan_annotations(path, seed_lexicon, workers=3)]
-        assert ids == [p.id for p in read_posts(path)]
+            items = list(scan_annotations(path, seed_lexicon, workers=3))
+        assert [text.count("\n") for text, _, _ in items] == [4] * 6 + [1]
+        assert rendered_ids(items) == [p.id for p in read_posts(path)]
 
     def test_strict_scan_raises_with_line(self, tmp_path, seed_lexicon):
         path = tmp_path / "bad.jsonl"
@@ -383,24 +384,25 @@ class TestShardedScans:
         path.write_text(jline(GOOD) + "\nbroken\n" + jline({**GOOD, "id": "p2"}) + "\n")
         with chunk_lines(1):
             skipping = scan_annotations(path, seed_lexicon)
-            assert next(skipping).post_id == "p1"
+            assert rendered_ids([next(skipping)]) == ["p1"]
             strict = scan_annotations(path, seed_lexicon, strict=True)
-            assert next(strict).post_id == "p1"
-            assert [a.post_id for a in skipping] == ["p2"]
+            assert rendered_ids([next(strict)]) == ["p1"]
+            # the skipped line's chunk is an empty item
+            assert rendered_ids(skipping) == ["p2"]
             with pytest.raises(PostFormatError, match="line 2"):
                 next(strict)
 
     def test_in_process_scan_keeps_its_lexicon(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path, n=8)
-        expected = [a.matched_count for a in scan_annotations(path, seed_lexicon)]
+        expected = rendered(scan_annotations(path, seed_lexicon))
         with chunk_lines(2):
             seeded = scan_annotations(path, seed_lexicon)
             first = next(seeded)
             empty = scan_annotations(path, build_lexicon([]))
-            assert next(empty).matched_count == 0
-            assert [first.matched_count] + [a.matched_count for a in seeded] == expected
-            assert sum(expected) > 0
-            assert sum(a.matched_count for a in empty) == 0
+            assert next(empty)[2] == 0
+            assert rendered([first, *seeded]) == expected
+            assert expected[2] > 0
+            assert sum(matched for _, _, matched in empty) == 0
 
     @pytest.mark.parametrize("seed_first", [True, False], ids=["seed-first", "empty-first"])
     def test_in_process_scan_reads_its_own_lexicons_memo(self, seed_first):
@@ -409,8 +411,8 @@ class TestShardedScans:
         text = jline({**GOOD, "text": "a wristcel lurks"}) + "\n"
         order = [(load_seed_lexicon(), 1), (build_lexicon([]), 0)]
         for lexicon, matched in order if seed_first else order[::-1]:
-            (ann,) = scan_annotations(text, lexicon, workers=1)
-            assert ann.matched_count == matched
+            ((_, _, scanned),) = scan_annotations(text, lexicon, workers=1)
+            assert scanned == matched
             assert scan_usage(text, lexicon, workers=1) == {("u1", "2020-W01"): (1, 3, matched)}
         assert all(lexicon.memo for lexicon, _ in order)
 
@@ -420,7 +422,7 @@ class TestShardedScans:
             assert scan_usage(text, seed_lexicon) == {("u1", "2020-W01"): (2, 2, 1)}
             assert corpus._state is None
             annotations = scan_annotations(text, seed_lexicon)
-            assert next(annotations).post_id == "p1"
+            assert rendered_ids([next(annotations)]) == ["p1"]
             annotations.close()
             assert corpus._state is None
 
@@ -579,9 +581,14 @@ def render_lines(items) -> str:
 
 
 def rendered(parts) -> tuple[str, int, int]:
-    """scan_annotation_lines' chunk items, concatenated and summed."""
+    """scan_annotations' chunk items, concatenated and summed."""
     parts = list(parts)
     return ("".join(p[0] for p in parts), *(sum(p[i] for p in parts) for i in (1, 2)))
+
+
+def rendered_ids(parts) -> list[str]:
+    """The post ids of scan_annotations' chunk items, in order."""
+    return [json.loads(line)["id"] for text, _, _ in parts for line in text.split("\n")[:-1]]
 
 
 SCANS = {
@@ -589,8 +596,7 @@ SCANS = {
     "affixes": lambda source, lex, **kw: scan_tables([source], lex, **kw)[0].canonical_json(),
     "usage": lambda source, lex, **kw: scan_usage(source, lex, **kw),
     "user_usage": lambda source, lex, **kw: scan_usage(source, lex, user="u2", **kw),
-    "annotations": lambda source, lex, **kw: list(scan_annotations(source, lex, **kw)),
-    "rendered": lambda source, lex, **kw: rendered(scan_annotation_lines(source, lex, **kw)),
+    "rendered": lambda source, lex, **kw: rendered(scan_annotations(source, lex, **kw)),
 }
 
 
@@ -620,7 +626,6 @@ def reference_scans(posts, lexicon) -> dict:
         ).canonical_json(),
         "usage": usage,
         "user_usage": {key: cell for key, cell in usage.items() if key[0] == "u2"},
-        "annotations": anns,
         "rendered": (
             "".join(annotation_json(ann) + "\n" for ann in anns),
             sum(ann.token_count for ann in anns),
