@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -68,8 +69,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not 0 < value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
 
 

@@ -44,14 +44,15 @@ def log_ratio_rank(
     min_count occurrences. Smoothing adds alpha to every count and alpha
     times the union-vocabulary size to every total, so unseen background
     tokens stay finite. alpha=0 is allowed for exact ratio work but then
-    every candidate must occur in the background.
+    every candidate must occur in the background. An alpha so small or so
+    large that a ratio leaves the float range raises DiscoveryError.
     """
     if not target.counts or target.total_tokens < 1:
         raise DiscoveryError("target table is empty")
     if not background.counts or background.total_tokens < 1:
         raise DiscoveryError("background table is empty")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if min_count < 1:
@@ -69,13 +70,15 @@ def log_ratio_rank(
         bg_count = background.counts.get(token, 0)
         p_target = (count + alpha) / (n_target + alpha * vocab)
         p_background = (bg_count + alpha) / (n_background + alpha * vocab)
-        if p_background == 0:
+        if p_background == 0 and alpha == 0:
             raise DiscoveryError(
                 f"token {token!r} absent from background; alpha=0 needs full coverage"
             )
-        rows.append(
-            LogRatioRow(token, count, bg_count, rank_of[token], math.log2(p_target / p_background))
-        )
+        # alpha * vocab may overflow, or alpha underflow, to a zero or infinite ratio
+        ratio = math.log2(p_target / p_background) if p_target and p_background else math.inf
+        if not math.isfinite(ratio):
+            raise DiscoveryError(f"alpha={alpha!r} gives token {token!r} a non-finite log ratio")
+        rows.append(LogRatioRow(token, count, bg_count, rank_of[token], ratio))
     rows.sort(key=lambda r: (-r.log_ratio, r.token))
     return rows
 

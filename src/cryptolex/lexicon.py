@@ -115,18 +115,18 @@ class Lexicon:
     checks them, so "GYMCEL" and "gymcel" block alike and make equal
     lexicons. Every surface and variant names exactly one entry, so forms
     maps each to its entry; a collision makes lookup ambiguous, so it is an
-    error rather than a warning. Affix forms are kept in longest-first
-    order for the segmenter. may_parse is the segmenter's fast reject: a
-    form it does not find cannot parse. memo maps a lowercased word to its
-    best parse under this lexicon, or None; morpho._best_parses alone
-    fills it, and it only memoizes, so it never changes a result.
+    error rather than a warning. affix_lengths holds the distinct lengths
+    of each affix kind's forms, ascending, so the segmenter finds affixes
+    by one forms lookup per length. may_parse is the segmenter's fast
+    reject: a form it does not find cannot parse. memo maps a lowercased
+    word to its best parse under this lexicon, or None; morpho._best_parses
+    alone fills it, and it only memoizes, so it never changes a result.
     """
 
     entries: tuple[LexiconEntry, ...]
     blocklist: frozenset[str] = frozenset()
     forms: dict[str, LexiconEntry] = _index()
-    prefix_forms: tuple[tuple[str, LexiconEntry], ...] = _index()
-    suffix_forms: tuple[tuple[str, LexiconEntry], ...] = _index()
+    affix_lengths: dict[str, tuple[int, ...]] = _index()
     may_parse: re.Pattern = _index()
     memo: dict = _index()
 
@@ -147,18 +147,14 @@ class Lexicon:
                     )
                 forms[v] = entry
         self.forms = forms
-        self.prefix_forms = self._affix_forms("prefix")
-        self.suffix_forms = self._affix_forms("suffix")
-        self.may_parse = _may_parse_gate([f for f, _ in self.prefix_forms], list(forms))
+        self.affix_lengths = {
+            kind: tuple(sorted({len(f) for f, e in forms.items() if e.kind == kind}))
+            for kind in AFFIX_KINDS
+        }
+        self.may_parse = _may_parse_gate(
+            [f for f, e in forms.items() if e.kind == "prefix"], list(forms)
+        )
         self.memo = {}
-
-    def _affix_forms(self, kind: str) -> tuple[tuple[str, LexiconEntry], ...]:
-        forms = [
-            (form, entry) for entry in self.entries if entry.kind == kind for form in entry.forms()
-        ]
-        # longest first so greedy matching prefers the most specific affix
-        forms.sort(key=lambda fe: (-len(fe[0]), fe[0]))
-        return tuple(forms)
 
     def __reduce__(self):
         # rebuilt from entries and blocklist, so a copy sent to a worker
@@ -375,9 +371,8 @@ def _tsv_safe(text: str) -> str:
 def export_tsv(lexicon: Lexicon) -> str:
     """Render entries as spreadsheet-ready TSV, one row per entry.
 
-    The source field is intentionally dropped; the TSV view is for review,
-    not archival. Converting back with lexicon_from_tsv reproduces every
-    other field.
+    The source field is intentionally dropped, and tabs and line breaks in
+    a definition become spaces: the TSV view is for review, not archival.
     """
     lines = ["\t".join(TSV_COLUMNS)]
     for e in lexicon.entries:
@@ -394,36 +389,6 @@ def export_tsv(lexicon: Lexicon) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def lexicon_from_tsv(text: str, blocklist: frozenset[str] = frozenset()) -> Lexicon:
-    """Rebuild a Lexicon from export_tsv output (source comes back empty)."""
-    # numbered before blank lines drop out, so errors name the physical line
-    rows = [(lineno, line) for lineno, line in enumerate(read_lines(text), start=1) if line]
-    if not rows or tuple(rows[0][1].split("\t")) != TSV_COLUMNS:
-        raise LexiconFormatError("missing or mangled TSV header")
-    entries = []
-    for lineno, line in rows[1:]:
-        cols = line.split("\t")
-        if len(cols) != len(TSV_COLUMNS):
-            raise LexiconFormatError(f"expected {len(TSV_COLUMNS)} columns", lineno)
-        surface, kind, productive, categories, variants, definition = cols
-        if productive not in ("true", "false"):
-            raise LexiconFormatError(f"productive must be true/false, got {productive!r}", lineno)
-        entries.append(
-            parse_entry(
-                {
-                    "surface": surface,
-                    "kind": kind,
-                    "definition": definition,
-                    "categories": [c for c in categories.split(",") if c],
-                    "productive": productive == "true",
-                    "variants": [v for v in variants.split(",") if v],
-                },
-                lineno,
-            )
-        )
-    return build_lexicon(entries, blocklist)
 
 
 def entry_to_json(entry: LexiconEntry) -> str:

@@ -10,6 +10,8 @@ stems under a productive affix last.
 from __future__ import annotations
 
 import re
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
@@ -229,12 +231,8 @@ def _match_form(form: str, lexicon: Lexicon) -> list[Parse]:
     for cand_index, (base, inflection, dedoubled) in enumerate(strip_inflection(form)):
         if base in lexicon.blocklist:
             continue
-        entry = lexicon.lookup(base)
-        if entry is not None:
-            rank = 1 if entry.kind in EXACT_KINDS else 2
-            parse = Parse(form, (Segment(base, "stem", entry),), inflection, dedoubled, rank)
-            keyed.append((_sort_key(parse, cand_index), parse))
-        for parse in _affix_splits(form, base, inflection, dedoubled, lexicon):
+        for segments, rank in _splits(base, lexicon):
+            parse = Parse(form, segments, inflection, dedoubled, rank)
             keyed.append((_sort_key(parse, cand_index), parse))
     keyed.sort(key=lambda kp: kp[0])
     return [parse for _, parse in keyed]
@@ -255,54 +253,41 @@ def _sort_key(parse: Parse, cand_index: int) -> tuple:
     )
 
 
-def _affix_splits(
-    form: str, base: str, inflection: str, dedoubled: bool, lexicon: Lexicon
-) -> list[Parse]:
-    """Splits of base into [prefix] stem [suffix] [suffix] with the stem
-    either an entry or a novel form of length ≥ MIN_STEM under a productive
-    affix. Affix lists arrive longest-first from the lexicon."""
-    parses = []
-    prefix_options: list[tuple[str, LexiconEntry] | None] = [None]
-    prefix_options += [
-        (f, e) for f, e in lexicon.prefix_forms if len(f) < len(base) and base.startswith(f)
-    ]
-    for pre in prefix_options:
-        mid = base[len(pre[0]):] if pre else base
-        outer_options: list[tuple[str, LexiconEntry] | None] = [None]
-        outer_options += [
-            (f, e) for f, e in lexicon.suffix_forms if len(f) < len(mid) and mid.endswith(f)
-        ]
-        for outer in outer_options:
-            mid2 = mid[: -len(outer[0])] if outer else mid
-            inner_options: list[tuple[str, LexiconEntry] | None] = [None]
-            if outer:
-                inner_options += [
-                    (f, e)
-                    for f, e in lexicon.suffix_forms
-                    if len(f) < len(mid2) and mid2.endswith(f)
-                ]
-            for inner in inner_options:
-                affixes = [a for a in (pre, inner, outer) if a]
-                if not affixes:
-                    continue  # bare entry match handled by the caller
-                stem = mid2[: -len(inner[0])] if inner else mid2
-                stem_entry = lexicon.lookup(stem)
-                if stem_entry is not None:
-                    rank = 2
-                elif len(stem) >= MIN_STEM and any(e.productive for _, e in affixes):
+def _peel(rest: str, kind: str, lexicon: Lexicon) -> Iterator[tuple[str, Segment | None]]:
+    """(what is left, affix) for no affix, then for each form of kind that
+    starts rest (a prefix) or ends it (a suffix) and leaves a character:
+    one lexicon.forms lookup per length of kind's forms."""
+    yield rest, None
+    for k in lexicon.affix_lengths[kind]:  # ascending
+        if k >= len(rest):
+            return
+        piece = rest[:k] if kind == "prefix" else rest[-k:]
+        entry = lexicon.forms.get(piece)
+        if entry is not None and entry.kind == kind:
+            # interned, so the memo's parses share one string per affix form
+            # rather than each holding a slice of its own
+            segment = Segment(sys.intern(piece), kind, entry)
+            yield (rest[k:] if kind == "prefix" else rest[:-k]), segment
+
+
+def _splits(base: str, lexicon: Lexicon) -> Iterator[tuple[tuple[Segment, ...], int]]:
+    """(segments, specificity) for each split of base into [prefix] stem
+    [suffix] [suffix], the inner suffix only under an outer one: a bare
+    entry (1 for EXACT_KINDS, else 2), an entry stem under affixes (2), or
+    a novel stem of at least MIN_STEM under a productive affix (3)."""
+    for mid, prefix in _peel(base, "prefix", lexicon):
+        for rest, outer in _peel(mid, "suffix", lexicon):
+            for stem, inner in _peel(rest, "suffix", lexicon) if outer else [(rest, None)]:
+                affixes = [a for a in (prefix, inner, outer) if a]
+                entry = lexicon.forms.get(stem)
+                if entry is not None:
+                    rank = 2 if affixes or entry.kind not in EXACT_KINDS else 1
+                elif len(stem) >= MIN_STEM and any(a.entry.productive for a in affixes):
                     rank = 3
                 else:
                     continue
-                segments = []
-                if pre:
-                    segments.append(Segment(pre[0], "prefix", pre[1]))
-                segments.append(Segment(stem, "stem", stem_entry))
-                if inner:
-                    segments.append(Segment(inner[0], "suffix", inner[1]))
-                if outer:
-                    segments.append(Segment(outer[0], "suffix", outer[1]))
-                parses.append(Parse(form, tuple(segments), inflection, dedoubled, rank))
-    return parses
+                segments = (prefix, Segment(stem, "stem", entry), inner, outer)
+                yield tuple(filter(None, segments)), rank
 
 
 def _best_parses(text: str, lexicon: Lexicon) -> list[Parse | None]:

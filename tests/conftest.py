@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date, datetime, timezone
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,7 @@ from cryptolex import (
     load_seed_lexicon,
     tokenize,
 )
+from cryptolex.lexicon import TSV_COLUMNS, read_lines
 from cryptolex.morpho import Annotation, Span
 
 # definitions mixing in every character str.splitlines breaks a line on
@@ -57,6 +59,30 @@ def reference_annotation(text: str, lexicon: Lexicon, post_id: str = "p") -> Ann
             )
             spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
     return Annotation(post_id, tuple(spans), len(tokens), len(spans))
+
+
+def tsv_rows(text: str) -> list[dict[str, str]]:
+    """export_tsv text read back as a spreadsheet reads it: one row per line
+    under the TSV_COLUMNS header, one cell per tab-separated column."""
+    header, *lines = read_lines(text)
+    assert tuple(header.split("\t")) == TSV_COLUMNS
+    return [dict(zip(TSV_COLUMNS, line.split("\t"), strict=True)) for line in lines]
+
+
+def assert_tsv_rows(text: str, entries) -> None:
+    """Each row of export_tsv text holds its entry's fields but source, with
+    tabs and line breaks in the definition turned to spaces."""
+    rows = tsv_rows(text)
+    assert len(rows) == len(entries)
+    for row, e in zip(rows, entries):
+        assert row == {
+            "surface": e.surface,
+            "kind": e.kind,
+            "productive": "true" if e.productive else "false",
+            "categories": ",".join(sorted(e.categories)),
+            "variants": ",".join(e.variants),
+            "definition": re.sub(r"[\t\r\n]", " ", e.definition),
+        }
 
 
 def week_ts(year: int, week: int, day: int = 3, hour: int = 12) -> int:

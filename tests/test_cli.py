@@ -25,15 +25,17 @@ from cryptolex import (
     tokenize,
 )
 from cryptolex import corpus as corpus_module
-from cryptolex import entries_to_jsonl, lexicon_from_tsv
+from cryptolex import PostFormatError, entries_to_jsonl
 from cryptolex.cli import build_parser, main
 from cryptolex.lexicon import AFFIX_KINDS
 
 from conftest import (
     BEYOND_JSON_PARSER,
+    assert_tsv_rows,
     chunk_lines,
     make_post,
     reference_annotation,
+    tsv_rows,
     week_ts,
     write_jsonl,
 )
@@ -88,11 +90,12 @@ class TestLexiconCommand:
         out = capsys.readouterr().out
         assert out == "dehumanizing 46 (71.9%) racist 17 (26.6%) misogynistic 17 (26.6%)\n"
 
-    def test_export_round_trips(self, tmp_path, capsys):
+    def test_export_round_trips(self, tmp_path, seed_lexicon, capsys):
         out_path = tmp_path / "lex.tsv"
         assert main(["lexicon", "export", "--output", str(out_path)]) == 0
-        lex = lexicon_from_tsv(out_path.read_text(encoding="utf-8"))
-        assert lex.lookup("cel").kind == "suffix"
+        text = out_path.read_bytes().decode("utf-8")
+        assert_tsv_rows(text, seed_lexicon.entries)
+        assert {row["surface"]: row["kind"] for row in tsv_rows(text)}["cel"] == "suffix"
 
     def test_broken_lexicon_is_data_error(self, tmp_path, capsys):
         lex = tmp_path / "broken.jsonl"
@@ -289,6 +292,25 @@ class TestDiscoverCommand:
             ["discover", "--input", str(corpus), "--background", str(background), "--alpha", "0"]
         ) == 2
 
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_is_usage_error(self, corpus, background, capsys, alpha):
+        argv = ["discover", "--input", str(corpus), "--background", str(background)]
+        assert main([*argv, "--alpha", alpha]) == 2
+        assert "argument --alpha: must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1e-320", "1e308"])
+    def test_alpha_out_of_float_range_is_data_error(self, corpus, background, capsys, alpha):
+        # ricecel is in the target and not in the background: at 1e-320 its
+        # background share is a denormal and its ratio overflows; at 1e308
+        # alpha * vocab overflows, and every share is 0
+        argv = ["discover", "--input", str(background), "--background", str(corpus),
+                "--min-count", "1", "--workers", "1", "--alpha", alpha]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: alpha={float(alpha)!r} gives token ")
+        assert err.endswith(" a non-finite log ratio\n")
+
     @pytest.mark.parametrize("flag", ["--lexicon", "--blocklist"])
     def test_lexicon_flag_without_affixes_is_usage_error(
         self, corpus, background, tmp_path, flag, capsys
@@ -411,7 +433,8 @@ class TestExitContract:
 # A CLI-level differential property test: small corpora with malformed
 # lines, non-ASCII text and the two code points the word reader lowers word
 # by word (İ and Σ), read in 2-line chunks at one worker and at two, and
-# annotate's output against a reference built from tokenize and decompose.
+# each command's result, in skip and strict mode, against a one-process
+# reference built from read_posts, tokenize and decompose.
 CLI_BAD_LINES = [b"", b"broken", b'{"id": "x"}', b"\xff\xfe", b"[1]"]
 cli_texts = st.one_of(
     # the last is lowered word by word, or İ's two-character lowercase
@@ -456,13 +479,18 @@ def productive_affixes(text: str, lexicon) -> list[str]:
     ]
 
 
-def reference_discover(posts, background, words) -> tuple[int, str, str, bytes | None]:
-    """What skip-mode discover --min-count 1 gives, in one process: each
-    source's table from words(text) over read_posts, ranked and rendered."""
+def reference_discover(posts, background, words, strict) -> tuple[int, str, str, bytes | None]:
+    """What discover --min-count 1 gives, in one process: each source's
+    table from words(text) over read_posts, ranked and rendered. In strict
+    mode the first malformed line, the target's before the background's,
+    ends the run."""
     report, tables = ReadReport(), []
     for source in (posts, background):
         source_report = ReadReport()
-        texts = [post.text for post in read_posts(source, report=source_report)]
+        try:
+            texts = [post.text for post in read_posts(source, strict=strict, report=source_report)]
+        except PostFormatError as exc:
+            return 1, "", f"error: {exc}\n", None
         report.add(source_report)
         counts = Counter(word for text in texts for word in words(text))
         tables.append(FrequencyTable(dict(counts), sum(counts.values()), len(texts)))
@@ -478,15 +506,19 @@ def reference_discover(posts, background, words) -> tuple[int, str, str, bytes |
     return 0, "", skip_summary(report) + summary, rows_to_tsv(rows).encode()
 
 
-def reference_trajectory(posts, lexicon) -> tuple[int, str, str, bytes | None]:
-    """What skip-mode trajectory --all --gaps gives, in one process: usage
-    cells from the best parses of reference_annotation."""
+def reference_trajectory(posts, lexicon, strict) -> tuple[int, str, str, bytes | None]:
+    """What trajectory --all --gaps gives, in one process: usage cells from
+    the best parses of reference_annotation. In strict mode the first
+    malformed line ends the run."""
     report, usage = ReadReport(), {}
-    for post in read_posts(posts, report=report):
-        ann = reference_annotation(post.text, lexicon, post.id)
-        key = (post.user, iso_week(post.created_utc))
-        n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
-        usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+    try:
+        for post in read_posts(posts, strict=strict, report=report):
+            ann = reference_annotation(post.text, lexicon, post.id)
+            key = (post.user, iso_week(post.created_utc))
+            n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
+            usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+    except PostFormatError as exc:
+        return 1, "", f"error: {exc}\n", None
     if not usage:
         return 1, "", skip_summary(report) + "error: empty corpus: no posts parsed\n", None
     per_user: dict = {}
@@ -495,6 +527,30 @@ def reference_trajectory(posts, lexicon) -> tuple[int, str, str, bytes | None]:
     gaps = [detect_gaps(series_from_counts(user, per_user[user])) for user in sorted(per_user)]
     summary = f"users {len(gaps)} gaps {sum(len(r.gaps) for r in gaps)}\n"
     return 0, "", skip_summary(report) + summary, export_series(gaps).encode()
+
+
+def reference_annotate(posts, lexicon, strict, chunk) -> tuple[int, str, str, bytes]:
+    """What annotate gives when it reads chunks of `chunk` lines, in one
+    process: an annotation_json line per post from reference_annotation. In
+    strict mode the first malformed line ends the run, and the output holds
+    the chunks before the one that line is in."""
+    source, error = posts, None
+    if strict:
+        try:
+            for _ in read_posts(posts, strict=True):
+                pass
+        except PostFormatError as exc:
+            error = exc
+            source = posts.read_bytes().split(b"\n")[: (exc.line - 1) // chunk * chunk]
+    report = ReadReport()
+    anns = [reference_annotation(p.text, lexicon, p.id) for p in read_posts(source, report=report)]
+    written = "".join(annotation_json(ann) + "\n" for ann in anns).encode()
+    if error is not None:
+        return 1, "", f"error: {error}\n", written
+    tokens, matched = sum(a.token_count for a in anns), sum(a.matched_count for a in anns)
+    rate = matched / tokens if tokens else 0.0
+    summary = f"posts {len(anns)} tokens {tokens} matched {matched} rate {rate:.6f}\n"
+    return 0, "", skip_summary(report) + summary, written
 
 
 def run_cli(argv: list[str], output) -> tuple[int, str, str, bytes | None]:
@@ -539,30 +595,27 @@ def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, backgrou
         "trajectory": ["trajectory", "--all", "--gaps", "--input", str(posts)],
     }
     lexicon = load_seed_lexicon()
-    # skip-mode outputs from one process, without the scans or the memo
-    references = {
-        "words": reference_discover(
-            posts, background, lambda text: [t.normalized for t in tokenize(text)]
-        ),
-        "affixes": reference_discover(
-            posts, background, lambda text: productive_affixes(text, lexicon)
-        ),
-        "trajectory": reference_trajectory(posts, lexicon),
-    }
-    with chunk_lines(2):
-        for name, argv in commands.items():
-            for mode in ([], ["--strict"]):
+    chunk = 2
+    with chunk_lines(chunk):
+        for strict in (False, True):
+            mode = ["--strict"] if strict else []
+            # outputs from one process, without the scans or the memo
+            references = {
+                "annotate": reference_annotate(posts, lexicon, strict, chunk),
+                "words": reference_discover(
+                    posts, background, lambda text: [t.normalized for t in tokenize(text)], strict
+                ),
+                "affixes": reference_discover(
+                    posts, background, lambda text: productive_affixes(text, lexicon), strict
+                ),
+                "trajectory": reference_trajectory(posts, lexicon, strict),
+            }
+            for name, argv in commands.items():
                 one, two = (
                     run_cli([*argv, *mode, "--workers", w], work / "out") for w in ("1", "2")
                 )
                 assert one == two, (name, mode)
                 if name == "missing-background":
                     assert one[0] == 1, mode
-                if name in references and not mode:
-                    assert one == references[name], name
-    expected = "".join(
-        annotation_json(reference_annotation(post.text, lexicon, post.id)) + "\n"
-        for post in read_posts(posts)
-    )
-    code, _, _, written = run_cli([*commands["annotate"], "--workers", "2"], work / "out")
-    assert (code, written) == (0, expected.encode())
+                else:
+                    assert one == references[name], (name, mode)

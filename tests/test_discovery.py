@@ -75,9 +75,28 @@ class TestLogRatio:
         with pytest.raises(ValueError):
             log_ratio_rank(SKEWED, MIRROR, **kw)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            log_ratio_rank(SKEWED, MIRROR, alpha=alpha)
+
     def test_alpha_zero_needs_background_coverage(self):
-        with pytest.raises(DiscoveryError, match="alpha"):
+        with pytest.raises(DiscoveryError, match="alpha=0 needs full coverage"):
             log_ratio_rank(table({"new": 6}), table({"old": 6}), alpha=0.0, min_count=1)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            1e-320,  # new's background share is a denormal, and its ratio overflows
+            5e-324,  # new's background share underflows to 0
+            1e308,  # alpha * vocab overflows, and every share is 0
+        ],
+    )
+    def test_ratio_out_of_float_range_names_alpha(self, alpha):
+        with pytest.raises(DiscoveryError) as exc:
+            log_ratio_rank(table({"new": 6}), table({"old": 6}), alpha=alpha, min_count=1)
+        assert str(exc.value).startswith(f"alpha={alpha!r} gives token ")
+        assert "full coverage" not in str(exc.value)
 
     def test_alpha_zero_with_coverage(self):
         (row,) = log_ratio_rank(table({"a": 6}), table({"a": 3, "b": 3}), alpha=0.0, min_count=1)

@@ -17,15 +17,14 @@ from cryptolex import (
     category_stats,
     entries_to_jsonl,
     export_tsv,
-    lexicon_from_tsv,
     load_blocklist,
     load_lexicon,
     normalize_token,
     validate,
 )
-from cryptolex.lexicon import TSV_COLUMNS, _tsv_safe, read_lines
+from cryptolex.lexicon import _tsv_safe, read_lines
 
-from conftest import BEYOND_JSON_PARSER, definitions
+from conftest import BEYOND_JSON_PARSER, assert_tsv_rows, definitions, tsv_rows
 
 
 def entry(surface, kind="root", **kw):
@@ -161,10 +160,6 @@ class TestLoading:
         assert seed_lexicon.lookup("max").surface == "maxx"
         assert seed_lexicon.lookup("nope") is None
 
-    def test_affix_forms_longest_first(self, seed_lexicon):
-        lengths = [len(f) for f in seed_lexicon.suffix_forms]
-        assert lengths == sorted(lengths, reverse=True)
-
 
 class TestBlocklist:
     def test_parse_text(self):
@@ -282,32 +277,12 @@ class TestCategoryStats:
 
 class TestSerialization:
     def test_tsv_round_trip(self, seed_lexicon):
-        text = export_tsv(seed_lexicon)
-        back = lexicon_from_tsv(text, blocklist=seed_lexicon.blocklist)
-        assert len(back) == len(seed_lexicon)
-        for e in seed_lexicon.entries:
-            got = back.lookup(e.surface)
-            assert got.kind == e.kind
-            assert got.categories == e.categories
-            assert got.productive == e.productive
-            assert got.variants == e.variants
+        assert_tsv_rows(export_tsv(seed_lexicon), seed_lexicon.entries)
 
     def test_tsv_sanitizes_definition(self):
         lex = build_lexicon([entry("foo", definition="line one\nline\ttwo")])
-        text = export_tsv(lex)
-        row = text.splitlines()[1]
-        assert row.count("\t") == 5
-        assert lexicon_from_tsv(text).lookup("foo").definition == "line one line two"
-
-    def test_tsv_error_names_physical_line(self):
-        text = "\t".join(TSV_COLUMNS) + "\n\nfoo\tinfix\tfalse\t\t\t\n"
-        with pytest.raises(LexiconFormatError, match="^line 3: unknown kind") as exc:
-            lexicon_from_tsv(text)
-        assert exc.value.line == 3
-
-    def test_tsv_header_checked(self):
-        with pytest.raises(LexiconFormatError):
-            lexicon_from_tsv("wrong\theader\n")
+        (row,) = tsv_rows(export_tsv(lex))
+        assert row["definition"] == "line one line two"
 
     def test_jsonl_round_trip(self, seed_lexicon):
         text = entries_to_jsonl(seed_lexicon.entries)
@@ -353,9 +328,9 @@ def test_jsonl_file_keeps_unicode_line_separators(tmp_path):
 
 @given(st.lists(definitions, min_size=1, max_size=4))
 def test_tsv_round_trip_any_definition(texts):
-    """Each definition comes back sanitized, from LF and from CRLF files."""
+    """Each definition comes back sanitized, one row per entry, from LF and
+    from CRLF files."""
     lex = build_lexicon([entry(f"w{i}", definition=d) for i, d in enumerate(texts)])
     text = export_tsv(lex)
     for sheet in (text, text.replace("\n", "\r\n")):
-        back = lexicon_from_tsv(sheet)
-        assert [e.definition for e in back.entries] == [_tsv_safe(d) for d in texts]
+        assert_tsv_rows(sheet, lex.entries)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from itertools import combinations_with_replacement
 import re
 import string
 import sys
@@ -23,8 +24,8 @@ from cryptolex import (
     tokenize,
 )
 from cryptolex import morpho
-from cryptolex.lexicon import AFFIX_KINDS, INFLECTIONS, LETTER_RUN3
-from cryptolex.morpho import _WORD, annotation_json, match_counts
+from cryptolex.lexicon import AFFIX_KINDS, EXACT_KINDS, INFLECTIONS, LETTER_RUN3
+from cryptolex.morpho import _WORD, MIN_STEM, Parse, Segment, annotation_json, match_counts
 
 from conftest import reference_annotation
 
@@ -493,15 +494,15 @@ class TestAnnotationJson:
         assert fresh == first.parse and repr(fresh) == repr(first.parse)
 
 
-def ungated_decompose(normalized, lexicon, *, elongated=False):
+def ungated_decompose(normalized, lexicon, *, elongated=False, match_form=morpho._match_form):
     """decompose without the may-parse gate: the reference it must equal."""
     if not normalized or normalized in lexicon.blocklist:
         return []
-    parses = morpho._match_form(normalized, lexicon)
+    parses = match_form(normalized, lexicon)
     if not parses and elongated:
         squeezed = morpho._RUN2.sub(r"\1", normalized)
         if squeezed != normalized and squeezed not in lexicon.blocklist:
-            parses = morpho._match_form(squeezed, lexicon)
+            parses = match_form(squeezed, lexicon)
     return parses
 
 
@@ -616,3 +617,77 @@ class TestMayParseGate:
         copy = pickle.loads(pickle.dumps(seed_lexicon))
         assert copy.may_parse.pattern == seed_lexicon.may_parse.pattern
         assert copy == seed_lexicon
+
+
+def reference_match_form(form, lexicon):
+    """_match_form by brute force. Each strip_inflection base that is not
+    blocklisted is cut every way into P + S + I + O: S non-empty, P empty
+    or a prefix form, I and O each empty or a suffix form, I non-empty only
+    when O is. A cut parses as a bare entry (rank 1 for EXACT_KINDS, else
+    2), an entry stem under affixes (2) or a novel stem of at least
+    MIN_STEM under a productive affix (3). Parses rank by specificity, then
+    candidate order, then prefix-less first, then slices and roles."""
+
+    def affix(piece, kind):
+        entry = lexicon.forms.get(piece)
+        return entry if entry is not None and entry.kind == kind else None
+
+    keyed = []
+    for cand_index, (base, inflection, dedoubled) in enumerate(strip_inflection(form)):
+        if base in lexicon.blocklist:
+            continue
+        for a, b, c in combinations_with_replacement(range(len(base) + 1), 3):
+            p, s, i, o = base[:a], base[a:b], base[b:c], base[c:]
+            pre, inner, outer = affix(p, "prefix"), affix(i, "suffix"), affix(o, "suffix")
+            if not s or (i and not o) or (p and not pre) or (i and not inner) or (o and not outer):
+                continue
+            affixes = [entry for entry in (pre, inner, outer) if entry]
+            stem = lexicon.forms.get(s)
+            if stem is not None:
+                rank = 2 if affixes or stem.kind not in EXACT_KINDS else 1
+            elif affixes and len(s) >= MIN_STEM and any(e.productive for e in affixes):
+                rank = 3
+            else:
+                continue
+            cut = [(p, "prefix", pre), (s, "stem", stem), (i, "suffix", inner), (o, "suffix", outer)]
+            segments = tuple(Segment(*piece) for piece in cut if piece[0])
+            parse = Parse(form, segments, inflection, dedoubled, rank)
+            slices, roles = [seg.slice for seg in segments], [seg.role for seg in segments]
+            keyed.append(((rank, cand_index, len(p) > 0, slices, roles), parse))
+    keyed.sort(key=lambda kp: kp[0])
+    return [parse for _, parse in keyed]
+
+
+def assert_segmenter_matches_reference(form, lexicon):
+    assert morpho._match_form(form, lexicon) == reference_match_form(form, lexicon), form
+    for elongated in (False, True):
+        expected = ungated_decompose(
+            form, lexicon, elongated=elongated, match_form=reference_match_form
+        )
+        assert decompose(form, lexicon, elongated=elongated) == expected, (form, elongated)
+
+
+class TestReferenceSegmenter:
+    """_match_form peels affixes by one lexicon.forms lookup per affix
+    length; it must equal the brute-force reference that tries every cut."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_equal_on_generated_lexicons(self, data):
+        lexicon = data.draw(small_lexicons())
+        for form in data.draw(st.lists(shaped_forms(lexicon), min_size=1, max_size=5)):
+            assert_segmenter_matches_reference(form, lexicon)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(["seed", "coded", "empty"]), st.data())
+    def test_equal_on_fixed_lexicons(self, seed_lexicon, coded_lexicon, which, data):
+        lexicon = {"seed": seed_lexicon, "coded": coded_lexicon, "empty": build_lexicon([])}[which]
+        form = data.draw(shaped_forms(lexicon, alphabet="celmogaxbuy0123"))
+        assert_segmenter_matches_reference(form, lexicon)
+
+    @pytest.mark.parametrize(
+        "form",
+        ["currycel", "chadpreet", "betabuxxing", "looksmaxxing", "ricecels", "fuel", "cel", "xcel"],
+    )
+    def test_equal_on_seed_coinages(self, seed_lexicon, form):
+        assert_segmenter_matches_reference(form, seed_lexicon)
