@@ -13,29 +13,14 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__
-from .corpus import (
-    PostFormatError,
-    ReadReport,
-    scan_annotations,
-    scan_tables,
-    scan_usage,
-)
-from .discovery import (
-    DiscoveryError,
-    filter_stoplist,
-    load_stoplist,
-    log_ratio_rank,
-    review_sheet,
-    rows_to_jsonl,
-    rows_to_tsv,
-)
+from .corpus import ReadReport, scan_annotations, scan_tables, scan_usage
+from .discovery import log_ratio_rank, review_sheet, rows_to_jsonl, rows_to_tsv
 from .lexicon import (
     Lexicon,
-    LexiconFormatError,
     category_stats,
     export_tsv,
-    load_blocklist,
     load_lexicon,
+    load_word_list,
     seed_blocklist,
     seed_lexicon_text,
     validate,
@@ -104,7 +89,7 @@ def _add_scan_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_cli_lexicon(args) -> Lexicon:
-    blocklist = load_blocklist(Path(args.blocklist)) if args.blocklist else seed_blocklist()
+    blocklist = load_word_list(Path(args.blocklist)) if args.blocklist else seed_blocklist()
     if args.lexicon:
         return load_lexicon(Path(args.lexicon), blocklist)
     return load_lexicon(seed_lexicon_text(), blocklist)
@@ -114,6 +99,13 @@ def _open_output(output: str | None):
     if output:
         return open(output, "w", encoding="utf-8")
     return contextlib.nullcontext(sys.stdout)
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a file is missing, so only the same path names it twice
+        return os.path.abspath(a) == os.path.abspath(b)
 
 
 def _report_skips(report: ReadReport) -> None:
@@ -170,6 +162,11 @@ def run_annotate(args) -> int:
         if terms:
             print("matched terms: " + ", ".join(terms), file=sys.stderr)
     else:
+        # the scan reads the input while the output is written, so opening
+        # the output first would truncate the corpus it is about to read
+        if args.output and _same_file(args.input, args.output):
+            print("cryptolex annotate: error: --output names the --input file", file=sys.stderr)
+            return 2
         report = ReadReport()
         with _open_output(args.output) as out:
             for text, n_tokens, n_matched in scan_annotations(
@@ -203,7 +200,8 @@ def run_discover(args) -> int:
         target, background, alpha=args.alpha, top_k=args.top_k, min_count=args.min_count
     )
     if args.stoplist:
-        rows = filter_stoplist(rows, load_stoplist(Path(args.stoplist)))
+        stoplist = load_word_list(Path(args.stoplist))
+        rows = [row for row in rows if row.token not in stoplist]
     _report_skips(report)
     print(
         f"candidates {len(rows)} (target {target.total_tokens} tokens, "
@@ -285,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     dis.add_argument("--input", required=True, metavar="PATH", help="target corpus JSON Lines")
     dis.add_argument("--background", required=True, metavar="PATH", help="background corpus JSON Lines")
     dis.add_argument("--affixes", action="store_true", help="rank productive affixes instead of words")
-    dis.add_argument("--stoplist", type=_path, metavar="PATH", help="plain-text stoplist, one token per line")
+    dis.add_argument("--stoplist", type=_path, metavar="PATH", help="words to leave out, one per line, '#' starts a comment")
     dis.add_argument("--alpha", type=_positive_float, default=0.5, help="smoothing constant (default 0.5)")
     dis.add_argument("--top-k", type=_positive_int, default=1000, help="candidate window (default 1000)")
     dis.add_argument("--min-count", type=_positive_int, default=5, help="minimum target count (default 5)")
@@ -325,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenProcessPool as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 1
-    except (LexiconFormatError, PostFormatError, DiscoveryError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,9 @@
 """Comparative keyword extraction over two frequency tables.
 
 Ranks the most frequent target-corpus tokens by smoothed base-2 log ratio
-against a background corpus. Candidates that survive stoplist filtering go
-to a review sheet for human coding; a completed sheet converts back into
-lexicon entries.
+against a background corpus. Candidates go to a review sheet for human
+coding; each row kept is then written by hand as a JSON Lines lexicon
+entry, which may be a root, an affix or a standalone term.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .corpus import FrequencyTable
-from .lexicon import LexiconEntry, normalize_token, parse_entry, read_lines
 
 
 class DiscoveryError(ValueError):
@@ -83,16 +81,6 @@ def log_ratio_rank(
     return rows
 
 
-def filter_stoplist(rows: Iterable[LogRatioRow], stoplist: frozenset[str] | set[str]) -> list[LogRatioRow]:
-    return [row for row in rows if row.token not in stoplist]
-
-
-def load_stoplist(source: str | Path) -> frozenset[str]:
-    """Plain text stoplist, one token per line, normalized as discover
-    counts tokens: lowercased, letter runs collapsed to two."""
-    return frozenset(normalize_token(line.strip())[0] for line in read_lines(source) if line.strip())
-
-
 RANKED_COLUMNS = ("token", "target_count", "background_count", "target_rank", "log_ratio")
 SHEET_COLUMNS = (
     "token",
@@ -140,41 +128,3 @@ def review_sheet(rows: Iterable[LogRatioRow]) -> str:
         lines.append(f"{r.token}\t{r.target_count}\t{r.background_count}\t{r.log_ratio:.4f}\t\t\t\t")
     return "\n".join(lines) + "\n"
 
-
-def import_review_sheet(text: str) -> list[LexiconEntry]:
-    """Convert a completed review sheet into lexicon entries.
-
-    Category columns take "x" (any case) or empty. Imported entries are
-    standalone terms; promoting one to an affix is a manual lexicon edit.
-    """
-    lines = read_lines(text)
-    if not lines or tuple(lines[0].split("\t")) != SHEET_COLUMNS:
-        raise DiscoveryError("missing or mangled review sheet header")
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != len(SHEET_COLUMNS):
-            raise DiscoveryError(f"line {lineno}: expected {len(SHEET_COLUMNS)} columns")
-        token, _, _, _, definition, *flags = cols
-        categories = []
-        for name, value in zip(("dehumanizing", "racist", "misogynistic"), flags):
-            flag = value.strip()
-            if flag.lower() == "x":
-                categories.append(name)
-            elif flag:
-                raise DiscoveryError(f"line {lineno}: flag column {name} must be 'x' or empty")
-        entries.append(
-            parse_entry(
-                {
-                    "surface": token,
-                    "kind": "standalone",
-                    "definition": definition,
-                    "categories": categories,
-                    "source": "imported from review sheet",
-                },
-                lineno,
-            )
-        )
-    return entries

@@ -77,9 +77,6 @@ class LexiconEntry:
                 raise LexiconFormatError(f"{self.surface!r}: duplicate form {v!r}")
             seen.add(v)
 
-    def forms(self) -> tuple[str, ...]:
-        return (self.surface, *self.variants)
-
 
 def _check_surface_form(form: str, what: str) -> None:
     # Mirrors token normalization: anything failing these checks could never
@@ -110,17 +107,19 @@ def _index():
 class Lexicon:
     """Entry collection plus lookup indexes, built from entries.
 
-    Do not change entries or blocklist after construction; build a new one
-    instead. Blocklist words are normalized as tokens are, as decompose
-    checks them, so "GYMCEL" and "gymcel" block alike and make equal
-    lexicons. Every surface and variant names exactly one entry, so forms
-    maps each to its entry; a collision makes lookup ambiguous, so it is an
-    error rather than a warning. affix_lengths holds the distinct lengths
-    of each affix kind's forms, ascending, so the segmenter finds affixes
-    by one forms lookup per length. may_parse is the segmenter's fast
-    reject: a form it does not find cannot parse. memo maps a lowercased
-    word to its best parse under this lexicon, or None; morpho._best_parses
-    alone fills it, and it only memoizes, so it never changes a result.
+    Lexicon(entries, blocklist) takes any iterables, kept as a tuple and a
+    frozenset. Do not change entries or blocklist after construction; build
+    a new one instead. Blocklist words are normalized as tokens are, as
+    decompose checks them, so "GYMCEL" and "gymcel" block alike and make
+    equal lexicons. Every surface and variant names exactly one entry, so
+    forms, the one lookup, maps each to its entry; a collision would make
+    it ambiguous, so it is an error rather than a warning. affix_lengths
+    holds the distinct lengths of each affix kind's forms, ascending, so
+    the segmenter finds affixes by one forms lookup per length. may_parse
+    is the segmenter's fast reject: a form it does not find cannot parse.
+    memo maps a lowercased word to its best parse under this lexicon, or
+    None; morpho._best_parses alone fills it, and it only memoizes, so it
+    never changes a result.
     """
 
     entries: tuple[LexiconEntry, ...]
@@ -131,6 +130,7 @@ class Lexicon:
     memo: dict = _index()
 
     def __post_init__(self):
+        self.entries = tuple(self.entries)
         self.blocklist = frozenset(normalize_token(word)[0] for word in self.blocklist)
         forms: dict[str, LexiconEntry] = {}
         for entry in self.entries:
@@ -161,16 +161,8 @@ class Lexicon:
         # starts with an empty memo rather than carrying this one's
         return Lexicon, (self.entries, self.blocklist)
 
-    def lookup(self, form: str) -> LexiconEntry | None:
-        return self.forms.get(form)
-
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def build_lexicon(entries: Iterable[LexiconEntry], blocklist: Iterable[str] = ()) -> Lexicon:
-    """A Lexicon of entries and blocklist; see Lexicon for the uniqueness rule."""
-    return Lexicon(tuple(entries), frozenset(blocklist))
 
 
 def _may_parse_gate(prefix_forms: list[str], entry_forms: list[str]) -> re.Pattern:
@@ -274,14 +266,15 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
     """Load a lexicon from a JSON Lines file (Path) or raw text (str).
 
     Entry order in the file is preserved. The lexicon normalizes the
-    optional blocklist's words; see load_blocklist for the file format.
+    optional blocklist's words; see load_word_list for the file format.
     """
-    return build_lexicon(parse_lexicon_lines(read_lines(source)), blocklist)
+    return Lexicon(parse_lexicon_lines(read_lines(source)), blocklist)
 
 
-def load_blocklist(source: str | Path) -> frozenset[str]:
-    """Read a blocklist: one word per line, '#' comments and blanks ignored,
-    normalized as tokens are: lowercased, letter runs collapsed to two."""
+def load_word_list(source: str | Path) -> frozenset[str]:
+    """Read a blocklist or a stoplist: one word per line, '#' comments and
+    blanks ignored, normalized as tokens are: lowercased, letter runs
+    collapsed to two."""
     words = {normalize_token(line.split("#", 1)[0].strip())[0] for line in read_lines(source)}
     return frozenset(words - {""})
 
@@ -297,7 +290,7 @@ def seed_lexicon_text() -> str:
 
 def seed_blocklist() -> frozenset[str]:
     """The blocklist shipped with the package."""
-    return load_blocklist(_seed_text("blocklist.txt"))
+    return load_word_list(_seed_text("blocklist.txt"))
 
 
 def load_seed_lexicon() -> Lexicon:
@@ -390,22 +383,3 @@ def export_tsv(lexicon: Lexicon) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def entry_to_json(entry: LexiconEntry) -> str:
-    """One canonical JSON Lines record; categories sorted for stable diffs."""
-    return json.dumps(
-        {
-            "surface": entry.surface,
-            "kind": entry.kind,
-            "definition": entry.definition,
-            "categories": sorted(entry.categories),
-            "productive": entry.productive,
-            "variants": list(entry.variants),
-            "source": entry.source,
-        },
-        ensure_ascii=False,
-    )
-
-
-def entries_to_jsonl(entries: Iterable[LexiconEntry]) -> str:
-    return "".join(entry_to_json(e) + "\n" for e in entries)

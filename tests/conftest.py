@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from datetime import date, datetime, timezone
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from cryptolex import (
     Lexicon,
     LexiconEntry,
-    build_lexicon,
     corpus,
     decompose,
     load_seed_lexicon,
@@ -59,6 +59,13 @@ def reference_annotation(text: str, lexicon: Lexicon, post_id: str = "p") -> Ann
             )
             spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
     return Annotation(post_id, tuple(spans), len(tokens), len(spans))
+
+
+def lexicon_jsonl(entries) -> str:
+    """Lexicon JSON Lines text, one record per entry with every field, as a
+    coder writes the rows kept from a review sheet."""
+    records = ({**dataclasses.asdict(e), "categories": sorted(e.categories)} for e in entries)
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
 
 def tsv_rows(text: str) -> list[dict[str, str]]:
@@ -127,4 +134,4 @@ def coded_lexicon() -> Lexicon:
         entries.append(
             LexiconEntry(surface=f"term{i:02d}", kind="root", categories=frozenset(cats))
         )
-    return build_lexicon(entries)
+    return Lexicon(entries)

@@ -25,7 +25,7 @@ from cryptolex import (
     tokenize,
 )
 from cryptolex import corpus as corpus_module
-from cryptolex import PostFormatError, entries_to_jsonl
+from cryptolex import PostFormatError
 from cryptolex.cli import build_parser, main
 from cryptolex.lexicon import AFFIX_KINDS
 
@@ -33,6 +33,7 @@ from conftest import (
     BEYOND_JSON_PARSER,
     assert_tsv_rows,
     chunk_lines,
+    lexicon_jsonl,
     make_post,
     reference_annotation,
     tsv_rows,
@@ -85,7 +86,7 @@ class TestLexiconCommand:
 
     def test_stats_of_custom_lexicon(self, tmp_path, coded_lexicon, capsys):
         lex = tmp_path / "coded.jsonl"
-        lex.write_text(entries_to_jsonl(coded_lexicon.entries), encoding="utf-8")
+        lex.write_text(lexicon_jsonl(coded_lexicon.entries), encoding="utf-8")
         assert main(["lexicon", "stats", "--lexicon", str(lex)]) == 0
         out = capsys.readouterr().out
         assert out == "dehumanizing 46 (71.9%) racist 17 (26.6%) misogynistic 17 (26.6%)\n"
@@ -152,6 +153,27 @@ class TestAnnotateCommand:
         assert main(["annotate", "--input", str(corpus), "--workers", "1", "--output", str(a)]) == 0
         assert main(["annotate", "--input", str(corpus), "--workers", "3", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_output_naming_the_input_is_usage_error(self, corpus, capsys, workers):
+        # the scan reads the input while it writes the output, so opening
+        # the output for writing would first empty the corpus
+        before = corpus.read_bytes()
+        argv = ["annotate", "--input", str(corpus), "--workers", workers]
+        assert main([*argv, "--output", str(corpus)]) == 2
+        assert corpus.read_bytes() == before
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "cryptolex annotate: error: --output names the --input file\n"
+
+    def test_missing_input_is_data_error(self, tmp_path, capsys):
+        gone = tmp_path / "gone.jsonl"
+        assert main(["annotate", "--input", str(gone), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(gone)!r}\n"
+        # named as the output too, the missing input was once created empty
+        # and read as an empty corpus, with exit 0
+        assert main(["annotate", "--input", str(gone), "--output", str(gone)]) == 2
+        assert not gone.exists()
 
     def test_banner_gating(self, corpus, capsys, monkeypatch):
         monkeypatch.delenv("CRYPTOLEX_NO_WARN", raising=False)
@@ -237,6 +259,18 @@ class TestDiscoverCommand:
         target = write_jsonl(tmp_path / "target.jsonl", rows)
         stop = tmp_path / "stop.txt"
         stop.write_text("The\nSOOOOO\n", encoding="utf-8")
+        argv = ["discover", "--input", str(target), "--background", str(background),
+                "--min-count", "1", "--workers", "1", "--stoplist", str(stop)]
+        assert main(argv) == 0
+        tokens = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert tokens == ["wristcel"]
+
+    def test_stoplist_comment_is_not_a_word(self, tmp_path, background, capsys):
+        # a stoplist reads as a blocklist does: "#" starts a comment
+        rows = [make_post(f"p{i}", "ann", week_ts(2020, 1), "the wristcel") for i in range(2)]
+        target = write_jsonl(tmp_path / "target.jsonl", rows)
+        stop = tmp_path / "stop.txt"
+        stop.write_text("# words to leave out\nthe  # article\n", encoding="utf-8")
         argv = ["discover", "--input", str(target), "--background", str(background),
                 "--min-count", "1", "--workers", "1", "--stoplist", str(stop)]
         assert main(argv) == 0

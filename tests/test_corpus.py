@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
     FrequencyTable,
+    Lexicon,
     Post,
     PostFormatError,
     ReadReport,
     annotate_text,
     annotation_json,
     build_frequency_table,
-    build_lexicon,
     iso_week,
     load_seed_lexicon,
     merge,
@@ -398,7 +398,7 @@ class TestShardedScans:
         with chunk_lines(2):
             seeded = scan_annotations(path, seed_lexicon)
             first = next(seeded)
-            empty = scan_annotations(path, build_lexicon([]))
+            empty = scan_annotations(path, Lexicon([]))
             assert next(empty)[2] == 0
             assert rendered([first, *seeded]) == expected
             assert expected[2] > 0
@@ -409,7 +409,7 @@ class TestShardedScans:
         # each lexicon memoizes its own best parses: a scan right after a
         # scan with another lexicon sees none of that lexicon's parses
         text = jline({**GOOD, "text": "a wristcel lurks"}) + "\n"
-        order = [(load_seed_lexicon(), 1), (build_lexicon([]), 0)]
+        order = [(load_seed_lexicon(), 1), (Lexicon([]), 0)]
         for lexicon, matched in order if seed_first else order[::-1]:
             ((_, _, scanned),) = scan_annotations(text, lexicon, workers=1)
             assert scanned == matched

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 from cryptolex import (
     DiscoveryError,
     FrequencyTable,
+    LexiconEntry,
     LogRatioRow,
-    filter_stoplist,
-    import_review_sheet,
-    load_stoplist,
+    load_lexicon,
+    load_word_list,
     log_ratio_rank,
     normalize_token,
     review_sheet,
@@ -21,7 +21,7 @@ from cryptolex import (
 )
 from cryptolex.lexicon import _tsv_safe
 
-from conftest import definitions
+from conftest import definitions, lexicon_jsonl
 
 
 def table(counts, docs=1):
@@ -114,19 +114,10 @@ class TestLogRatio:
 
 
 class TestStoplist:
-    def test_filter_preserves_order(self):
-        rows = [
-            LogRatioRow("the", 9, 9, 1, 0.0),
-            LogRatioRow("gymcel", 5, 0, 2, 4.0),
-            LogRatioRow("of", 5, 5, 3, 0.0),
-        ]
-        kept = filter_stoplist(rows, {"the", "of"})
-        assert [r.token for r in kept] == ["gymcel"]
-
     def test_load(self, tmp_path):
         p = tmp_path / "stop.txt"
-        p.write_text("the\n\nof\n", encoding="utf-8")
-        assert load_stoplist(p) == frozenset({"the", "of"})
+        p.write_text("the\n\nof  # article\n", encoding="utf-8")
+        assert load_word_list(p) == frozenset({"the", "of"})
 
 
 ROWS = [
@@ -146,60 +137,30 @@ class TestExports:
         assert first["log_ratio"] == 5.954196310386801
 
     def test_review_sheet_round_trip(self):
-        sheet = review_sheet(ROWS)
-        lines = sheet.splitlines()
-        assert lines[1].endswith("\t\t\t\t")
-        filled = [lines[0]]
-        filled.append(lines[1].rstrip("\t") + "\tgym rat\tx\t\t")
-        filled.append(lines[2].rstrip("\t") + "\t\t\tX\tx")
-        entries = import_review_sheet("\n".join(filled) + "\n")
-        assert [e.surface for e in entries] == ["gymcel", "cope"]
-        assert entries[0].kind == "standalone"
-        assert not entries[0].productive
-        assert entries[0].categories == frozenset({"dehumanizing"})
-        assert entries[0].definition == "gym rat"
-        assert entries[1].categories == frozenset({"racist", "misogynistic"})
-
-    def test_review_sheet_rejects_stray_flag(self):
-        sheet = review_sheet(ROWS[:1])
-        bad = sheet.splitlines()
-        bad[1] = bad[1].rstrip("\t") + "\t\tyes\t\t"
-        with pytest.raises(DiscoveryError, match="flag column"):
-            import_review_sheet("\n".join(bad) + "\n")
-
-    def test_review_sheet_header_checked(self):
-        for sheet in ("token\tstuff\n", ""):
-            with pytest.raises(DiscoveryError):
-                import_review_sheet(sheet)
-
-    def test_review_sheet_keeps_unicode_line_separators(self):
-        lines = review_sheet(ROWS[:1]).splitlines()
-        lines[1] = lines[1].rstrip("\t") + "\tcell\u2028mate\t\t\t"
-        (imported,) = import_review_sheet("\n".join(lines) + "\n")
-        assert imported.definition == "cell\u2028mate"
-
-
-@given(st.lists(definitions, min_size=1, max_size=4))
-def test_review_sheet_any_definition(texts):
-    """Each row's definition comes back whole, from LF and from CRLF sheets,
-    whatever line separators other than "\\n" it holds."""
-    header, *rows = review_sheet(
-        [LogRatioRow(f"w{i}", 1, 0, i + 1, 1.0) for i in range(len(texts))]
-    ).splitlines()
-    filled = [row.rstrip("\t") + f"\t{_tsv_safe(t)}\t\t\t" for row, t in zip(rows, texts)]
-    text = "\n".join([header, *filled]) + "\n"
-    for sheet in (text, text.replace("\n", "\r\n")):
-        entries = import_review_sheet(sheet)
-        assert [e.definition for e in entries] == [_tsv_safe(t) for t in texts]
+        # the coding loop: each row kept from the sheet is written as a
+        # JSON Lines entry of any kind, under its token as the surface
+        header, *lines = review_sheet(ROWS).splitlines()
+        assert header.split("\t")[4:] == ["definition", "dehumanizing", "racist", "misogynistic"]
+        assert all(line.endswith("\t\t\t\t") for line in lines)
+        tokens = [line.split("\t")[0] for line in lines]
+        coded = [
+            LexiconEntry(surface=tokens[0], kind="root", definition="gym rat",
+                         categories=frozenset({"dehumanizing"})),
+            LexiconEntry(surface=tokens[1], kind="standalone",
+                         categories=frozenset({"racist", "misogynistic"})),
+        ]
+        lexicon = load_lexicon(lexicon_jsonl(coded))
+        assert lexicon.entries == tuple(coded)
+        assert [lexicon.forms[t].surface for t in tokens] == ["gymcel", "cope"]
 
 
 @given(st.lists(definitions, max_size=4))
 def test_stoplist_lines_split_on_newline_only(tmp_path_factory, texts):
     words = [_tsv_safe(t) for t in texts]
-    expected = {normalize_token(w.strip())[0] for w in words if w.strip()}
+    expected = {normalize_token(w.split("#", 1)[0].strip())[0] for w in words} - {""}
     text = "\n".join(words) + "\n"
     path = tmp_path_factory.mktemp("stoplist") / "stoplist.txt"
     for source in (text, text.replace("\n", "\r\n")):
         path.write_bytes(source.encode("utf-8"))
-        assert load_stoplist(source) == expected
-        assert load_stoplist(path) == expected
+        assert load_word_list(source) == expected
+        assert load_word_list(path) == expected

@@ -13,18 +13,16 @@ from cryptolex import (
     LexiconEntry,
     LexiconFormatError,
     annotate_text,
-    build_lexicon,
     category_stats,
-    entries_to_jsonl,
     export_tsv,
-    load_blocklist,
     load_lexicon,
+    load_word_list,
     normalize_token,
     validate,
 )
 from cryptolex.lexicon import _tsv_safe, read_lines
 
-from conftest import BEYOND_JSON_PARSER, assert_tsv_rows, definitions, tsv_rows
+from conftest import BEYOND_JSON_PARSER, assert_tsv_rows, definitions, lexicon_jsonl, tsv_rows
 
 
 def entry(surface, kind="root", **kw):
@@ -54,7 +52,7 @@ class TestEntryValidation:
     def test_letter_run_rule_matches_normalization(self):
         # normalization keeps digit runs and collapses letter runs of three,
         # so a digit run is a valid form and a letter run is not
-        lex = build_lexicon([entry("x1000")])
+        lex = Lexicon([entry("x1000")])
         ann = annotate_text("p", "X1000 x100", lex)
         assert [span.term for span in ann.spans] == ["X1000"]
         with pytest.raises(ValueError, match="letter run"):
@@ -87,7 +85,7 @@ class TestLoading:
         text = json.dumps({"surface": "incel", "kind": "root", "categories": ["dehumanizing"]})
         lex = load_lexicon(text)
         assert len(lex) == 1
-        assert lex.lookup("incel").kind == "root"
+        assert lex.forms.get("incel").kind == "root"
 
     def test_blank_lines_skipped(self):
         text = '\n{"surface": "incel", "kind": "root"}\n\n'
@@ -156,33 +154,43 @@ class TestLoading:
         assert len(load_lexicon(p)) == 1
 
     def test_lookup_variant(self, seed_lexicon):
-        assert seed_lexicon.lookup("mogg").surface == "mog"
-        assert seed_lexicon.lookup("max").surface == "maxx"
-        assert seed_lexicon.lookup("nope") is None
+        assert seed_lexicon.forms.get("mogg").surface == "mog"
+        assert seed_lexicon.forms.get("max").surface == "maxx"
+        assert seed_lexicon.forms.get("nope") is None
+
+    def test_any_iterables_build_the_same_lexicon(self):
+        # the constructor keeps entries as a tuple and normalizes any
+        # iterable blocklist, so a list-built lexicon is no different
+        e = entry("gymcel")
+        built = Lexicon([e], ["GymCel"])
+        assert built == Lexicon((e,), frozenset({"gymcel"}))
+        assert built.entries == (e,)
+        assert pickle.loads(pickle.dumps(built)) == built
+        assert Lexicon(iter([e])).forms == {"gymcel": e}
 
 
 class TestBlocklist:
     def test_parse_text(self):
-        bl = load_blocklist("# comment\ncancel\n\nEXCEL  \n")
+        bl = load_word_list("# comment\ncancel\n\nEXCEL  \n")
         assert bl == frozenset({"cancel", "excel"})
 
     def test_inline_comment(self):
-        assert load_blocklist("cancel  # can + cel\n") == frozenset({"cancel"})
+        assert load_word_list("cancel  # can + cel\n") == frozenset({"cancel"})
 
     def test_from_file(self, tmp_path):
         p = tmp_path / "block.txt"
         p.write_text("parcel\n", encoding="utf-8")
-        assert load_blocklist(p) == frozenset({"parcel"})
+        assert load_word_list(p) == frozenset({"parcel"})
 
     def test_unicode_line_separator_is_not_a_line_break(self):
-        assert load_blocklist("cell\u2028mate\r\n") == frozenset({"cell\u2028mate"})
+        assert load_word_list("cell\u2028mate\r\n") == frozenset({"cell\u2028mate"})
 
     def test_letter_runs_collapse_as_in_tokens(self, seed_lexicon):
         # decompose checks the blocklist with collapsed forms only, so an
         # uncollapsed line would block nothing
-        assert load_blocklist("Gymcelll  # gym + cel\n") == frozenset({"gymcell"})
+        assert load_word_list("Gymcelll  # gym + cel\n") == frozenset({"gymcell"})
         for line in ("Gymcelll", "gymcell"):
-            lexicon = build_lexicon(seed_lexicon.entries, load_blocklist(line))
+            lexicon = Lexicon(seed_lexicon.entries, load_word_list(line))
             assert annotate_text("p", "a gymcelll lifts", lexicon).matched_count == 0
 
     def test_lexicon_normalizes_a_blocklist_it_is_given(self, seed_lexicon):
@@ -190,7 +198,7 @@ class TestBlocklist:
         # decompose checks: "GYMCEL" blocks both words, "gymcelll" (collapsed
         # to "gymcell") blocks the elongated one
         for words, matched in ((["GYMCEL"], 0), (["gymcelll"], 1)):
-            lexicon = build_lexicon(seed_lexicon.entries, words)
+            lexicon = Lexicon(seed_lexicon.entries, words)
             assert annotate_text("p", "a gymcelll lifts gymcel", lexicon).matched_count == matched
 
     def test_blocklists_equal_once_normalized(self, seed_lexicon):
@@ -210,8 +218,8 @@ def test_blocklist_lines_split_on_newline_only(tmp_path_factory, texts):
     path = tmp_path_factory.mktemp("blocklist") / "blocklist.txt"
     for source in (text, text.replace("\n", "\r\n")):
         path.write_bytes(source.encode("utf-8"))
-        assert load_blocklist(source) == expected
-        assert load_blocklist(path) == expected
+        assert load_word_list(source) == expected
+        assert load_word_list(path) == expected
 
 
 @given(st.lists(definitions, max_size=4), st.sampled_from(["\n", "\r\n"]), st.booleans())
@@ -243,12 +251,12 @@ class TestValidate:
     def test_blocklisted_surface_is_error(self):
         # the lexicon normalizes its blocklist, so case hides no clash
         for word in ("cancel", "CANCEL"):
-            lex = build_lexicon([entry("cancel")], blocklist=frozenset({word}))
+            lex = Lexicon([entry("cancel")], blocklist=frozenset({word}))
             issues = validate(lex)
             assert any(i.severity == "error" and i.surface == "cancel" for i in issues)
 
     def test_empty_categories_warning(self):
-        lex = build_lexicon([entry("foo")])
+        lex = Lexicon([entry("foo")])
         assert any(i.severity == "warning" for i in validate(lex))
 
 
@@ -260,7 +268,7 @@ class TestCategoryStats:
         assert stats.percentages == {"dehumanizing": 71.9, "racist": 26.6, "misogynistic": 26.6}
 
     def test_half_rounds_up(self):
-        lex = build_lexicon(
+        lex = Lexicon(
             [entry(f"t{i}", categories=frozenset({"racist"} if i == 0 else {"dehumanizing"}))
              for i in range(16)]
         )
@@ -272,7 +280,7 @@ class TestCategoryStats:
 
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError):
-            category_stats(build_lexicon([]))
+            category_stats(Lexicon([]))
 
 
 class TestSerialization:
@@ -280,19 +288,19 @@ class TestSerialization:
         assert_tsv_rows(export_tsv(seed_lexicon), seed_lexicon.entries)
 
     def test_tsv_sanitizes_definition(self):
-        lex = build_lexicon([entry("foo", definition="line one\nline\ttwo")])
+        lex = Lexicon([entry("foo", definition="line one\nline\ttwo")])
         (row,) = tsv_rows(export_tsv(lex))
         assert row["definition"] == "line one line two"
 
     def test_jsonl_round_trip(self, seed_lexicon):
-        text = entries_to_jsonl(seed_lexicon.entries)
+        text = lexicon_jsonl(seed_lexicon.entries)
         back = load_lexicon(text, seed_lexicon.blocklist)
         assert back.entries == seed_lexicon.entries
 
     def test_pickle_leaves_the_memo_behind(self, seed_lexicon):
         # a worker started by spawn or forkserver receives its lexicon
         # pickled, and should not receive the parent's whole memo with it
-        lexicon = build_lexicon(seed_lexicon.entries, seed_lexicon.blocklist)
+        lexicon = Lexicon(seed_lexicon.entries, seed_lexicon.blocklist)
         assert annotate_text("p", "a wristcel lurks sooo", lexicon).matched_count == 1
         assert lexicon.memo
         copy = pickle.loads(pickle.dumps(lexicon))
@@ -315,14 +323,14 @@ def test_jsonl_round_trip_property(surface, kind, cats, definition):
         )
     except ValueError:
         return  # triple letter runs are rejected at construction
-    back = load_lexicon(entries_to_jsonl([e]))
+    back = load_lexicon(lexicon_jsonl([e]))
     assert back.entries == (e,)
 
 
 def test_jsonl_file_keeps_unicode_line_separators(tmp_path):
     e = entry("incel", definition="a\u2028b\x85c\x0cd")
     path = tmp_path / "lexicon.jsonl"
-    path.write_text(entries_to_jsonl([e]), encoding="utf-8")
+    path.write_text(lexicon_jsonl([e]), encoding="utf-8")
     assert load_lexicon(path).entries == (e,)
 
 
@@ -330,7 +338,7 @@ def test_jsonl_file_keeps_unicode_line_separators(tmp_path):
 def test_tsv_round_trip_any_definition(texts):
     """Each definition comes back sanitized, one row per entry, from LF and
     from CRLF files."""
-    lex = build_lexicon([entry(f"w{i}", definition=d) for i, d in enumerate(texts)])
+    lex = Lexicon([entry(f"w{i}", definition=d) for i, d in enumerate(texts)])
     text = export_tsv(lex)
     for sheet in (text, text.replace("\n", "\r\n")):
         assert_tsv_rows(sheet, lex.entries)

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
     KINDS,
+    Lexicon,
     LexiconEntry,
     annotate_text,
-    build_lexicon,
     decompose,
     load_seed_lexicon,
     normalize_token,
@@ -266,7 +266,7 @@ class TestAnnotate:
 
     @pytest.mark.parametrize("seed_first", [True, False], ids=["seed-first", "empty-first"])
     def test_each_lexicon_reads_its_own_memo(self, seed_first):
-        order = [(load_seed_lexicon(), 1), (build_lexicon([]), 0)]
+        order = [(load_seed_lexicon(), 1), (Lexicon([]), 0)]
         for lexicon, matched in order if seed_first else order[::-1]:
             assert annotate_text("p", "a wristcel lurks", lexicon).matched_count == matched
         for lexicon, matched in order:  # both memos warm now
@@ -342,7 +342,7 @@ run_text = st.lists(
 
 def cold(lexicon):
     """A copy of lexicon with an empty memo."""
-    return build_lexicon(lexicon.entries, lexicon.blocklist)
+    return Lexicon(lexicon.entries, lexicon.blocklist)
 
 
 def assert_views_match_reference(text, lexicon):
@@ -398,7 +398,7 @@ class TestMatchCounts:
         # tokenize lowercases "ΑΣ" alone, to the lexicon's "ας"; the whole
         # text lowercases it to "ασ", since the final-sigma rule looks past
         # the apostrophe to the letter Β
-        lexicon = build_lexicon(
+        lexicon = Lexicon(
             [LexiconEntry(surface="ας", kind="root", categories=frozenset({"racist"}))]
         )
         assert assert_views_match_reference("ΑΣ'Β", lexicon) == (2, 1)
@@ -546,14 +546,14 @@ def small_lexicons(draw):
                 variants=tuple(forms[1:]),
             )
         )
-    return build_lexicon(entries, draw(st.lists(small_forms, max_size=3)))
+    return Lexicon(entries, draw(st.lists(small_forms, max_size=3)))
 
 
 def shaped_forms(lexicon, alphabet="abc0"):
     """Forms biased toward what the segmenter parses: prefix + stem and
     stem + suffix (+ suffix) from the lexicon's own forms, each perhaps with
     a doubled final character, an inflection, or a letter run."""
-    known = [f for e in lexicon.entries for f in e.forms()] + list(lexicon.blocklist)
+    known = [f for e in lexicon.entries for f in (e.surface, *e.variants)] + list(lexicon.blocklist)
     piece = st.text(alphabet=alphabet, max_size=4)
     if known:
         piece = st.sampled_from(known) | piece
@@ -588,7 +588,7 @@ class TestMayParseGate:
     @settings(max_examples=500, deadline=None)
     @given(st.sampled_from(["seed", "coded", "empty"]), st.data())
     def test_sound_on_fixed_lexicons(self, seed_lexicon, coded_lexicon, which, data):
-        lexicon = {"seed": seed_lexicon, "coded": coded_lexicon, "empty": build_lexicon([])}[which]
+        lexicon = {"seed": seed_lexicon, "coded": coded_lexicon, "empty": Lexicon([])}[which]
         form = data.draw(shaped_forms(lexicon, alphabet="celmogaxbuy0123"))
         assert_gate_sound(form, lexicon)
 
@@ -610,7 +610,7 @@ class TestMayParseGate:
         assert ([s.slice for s in parses[0].segments] if parses else None) == slices
 
     def test_empty_lexicon_gate_never_matches(self):
-        gate = build_lexicon([]).may_parse
+        gate = Lexicon([]).may_parse
         assert [f for f in ("", "a", "cel", "ing") if gate.search(f)] == []
 
     def test_gate_pickles_with_the_lexicon(self, seed_lexicon):
@@ -681,7 +681,7 @@ class TestReferenceSegmenter:
     @settings(max_examples=500, deadline=None)
     @given(st.sampled_from(["seed", "coded", "empty"]), st.data())
     def test_equal_on_fixed_lexicons(self, seed_lexicon, coded_lexicon, which, data):
-        lexicon = {"seed": seed_lexicon, "coded": coded_lexicon, "empty": build_lexicon([])}[which]
+        lexicon = {"seed": seed_lexicon, "coded": coded_lexicon, "empty": Lexicon([])}[which]
         form = data.draw(shaped_forms(lexicon, alphabet="celmogaxbuy0123"))
         assert_segmenter_matches_reference(form, lexicon)
 
