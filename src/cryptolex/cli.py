@@ -189,6 +189,9 @@ def run_discover(args) -> int:
             return 2
     report = ReadReport()
     lexicon = _load_cli_lexicon(args) if args.affixes else None
+    # read before the scan, so a bad stoplist costs no scan; --output is
+    # opened only after it, since opening truncates a file the scan may read
+    stoplist = load_word_list(Path(args.stoplist)) if args.stoplist else frozenset()
     target, background = scan_tables(
         (Path(args.input), Path(args.background)),
         lexicon,
@@ -199,9 +202,7 @@ def run_discover(args) -> int:
     rows = log_ratio_rank(
         target, background, alpha=args.alpha, top_k=args.top_k, min_count=args.min_count
     )
-    if args.stoplist:
-        stoplist = load_word_list(Path(args.stoplist))
-        rows = [row for row in rows if row.token not in stoplist]
+    rows = [row for row in rows if row.token not in stoplist]
     _report_skips(report)
     print(
         f"candidates {len(rows)} (target {target.total_tokens} tokens, "

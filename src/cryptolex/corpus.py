@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,8 @@ CHUNK_LINES = 5000
 # 9999-12-31T23:59:59Z, the last second iso_week can label
 MAX_CREATED_UTC = 253402300799
 _CREATED_RANGE = f"field 'created_utc' is out of range (0 to {MAX_CREATED_UTC})"
+# a surrogate code point: what a JSON \ud800 escape with no partner decodes to
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class PostFormatError(ValueError):
@@ -78,6 +81,30 @@ class ReadReport:
 
 
 def parse_post_record(record, line: int | None = None) -> Post:
+    """A Post from one decoded record. A well-formed record, the kind a
+    dump is made of, passes one type test; every other record goes to
+    _check_post_record, the reference and the only source of errors."""
+    if type(record) is dict:
+        get = record.get
+        pid, user, forum, text = get("id"), get("user"), get("forum"), get("text")
+        created, parent = get("created_utc"), get("parent_id")
+        # isascii is a flag test, and an ASCII string holds no surrogate
+        if (
+            type(pid) is str and pid and pid.isascii()
+            and type(user) is str and user.isascii()
+            and type(forum) is str and forum.isascii()
+            and type(text) is str
+            and type(created) is int and 0 <= created <= MAX_CREATED_UTC
+            and (parent is None or type(parent) is str and parent.isascii())
+        ):
+            # tuple.__new__ skips the Python frame of Post's own __new__
+            return tuple.__new__(Post, (pid, user, forum, created, text, parent))
+    return _check_post_record(record, line)
+
+
+def _check_post_record(record, line: int | None = None) -> Post:
+    """Validate a decoded record field by field, raising PostFormatError
+    with the first fault found."""
     if not isinstance(record, dict):
         raise PostFormatError("record is not a JSON object", line)
     for name in ("id", "user", "forum", "created_utc", "text"):
@@ -105,6 +132,10 @@ def parse_post_record(record, line: int | None = None) -> Post:
     parent = record.get("parent_id")
     if parent is not None and not isinstance(parent, str):
         raise PostFormatError("field 'parent_id' must be a string when present", line)
+    # no output could encode a lone surrogate; text only yields words, which hold none
+    for name in ("id", "user", "forum", "parent_id"):
+        if _SURROGATE.search(record.get(name) or ""):
+            raise PostFormatError(f"field {name!r} holds a lone surrogate", line)
     return Post(
         id=record["id"],
         user=record["user"],

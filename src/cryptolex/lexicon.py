@@ -13,6 +13,7 @@ Design goals:
 from __future__ import annotations
 
 import json
+import json.scanner
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -221,11 +222,26 @@ def parse_entry(record: dict, line: int | None = None) -> LexiconEntry:
         raise
 
 
+# json.loads' own C scanner, called without its Python wrapper frames
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def parse_json_line(text: str, line: int | None, error: type[ValueError]):
     """json.loads for one line of a JSON Lines file. Every line it rejects
     raises error(message, line) with a message that starts "invalid JSON",
     also those it rejects without a JSONDecodeError: an integer past int()'s
-    digit limit (a plain ValueError) and nesting too deep (RecursionError)."""
+    digit limit (a plain ValueError) and nesting too deep (RecursionError).
+
+    A line the scanner reads whole in one call is json.loads' value; any
+    other line, even one with trailing whitespace, goes to json.loads
+    itself, the reference and the only source of messages."""
+    try:
+        value, end = _scan_json(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    else:
+        if end == len(text):
+            return value
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

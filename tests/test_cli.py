@@ -277,6 +277,21 @@ class TestDiscoverCommand:
         tokens = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()[1:]]
         assert tokens == ["wristcel"]
 
+    def test_missing_stoplist_fails_before_the_scan(
+        self, corpus, background, tmp_path, capsys, monkeypatch
+    ):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before the stoplist was read")
+
+        monkeypatch.setattr("cryptolex.cli.scan_tables", no_scan)
+        stop = tmp_path / "missing.txt"
+        argv = ["discover", "--input", str(corpus), "--background", str(background),
+                "--stoplist", str(stop), "--workers", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: '{stop}'" in err
+        assert "candidates" not in err
+
     def test_jsonl_format(self, corpus, background, capsys):
         main(
             ["discover", "--input", str(corpus), "--background", str(background),
@@ -425,6 +440,32 @@ class TestExitContract:
         assert f"skipped 1 malformed lines (first: line 2: invalid JSON ({reason}))" in err
         assert main(argv + ["--strict"]) == 1
         assert capsys.readouterr().err == f"error: line 2: invalid JSON ({reason})\n"
+
+    @pytest.mark.parametrize(
+        "command, field", [(["annotate"], "id"), (["trajectory", "--all"], "user")]
+    )
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lone_surrogate_in_a_written_field_is_a_malformed_line(
+        self, tmp_path, capsys, command, field, workers
+    ):
+        # json.dumps writes it as a \ud800 escape, which decodes to a str
+        # that the UTF-8 output could not encode
+        good = make_post("p1", "u", week_ts(2020, 1), "wristcel")
+        path = tmp_path / "posts.jsonl"
+        lines = [good, {**good, "id": "p2", field: "x\ud800"}, good]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [*command, "--input", str(path), "--workers", workers, "--output", str(out)]
+        assert main(argv) == 0
+        reason = f"line 2: field {field!r} holds a lone surrogate"
+        assert f"skipped 1 malformed lines (first: {reason})" in capsys.readouterr().err
+        written = out.read_text(encoding="utf-8")
+        if field == "id":
+            assert [json.loads(line)["id"] for line in written.splitlines()] == ["p1", "p1"]
+        else:
+            assert written.splitlines()[1:] == ["u,2020-W01,2,2,2,1.000000"]
+        assert main(argv + ["--strict"]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -7,7 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cryptolex import (
     FrequencyTable,
@@ -32,7 +32,7 @@ from cryptolex import (
 )
 from cryptolex import corpus
 from cryptolex.corpus import MAX_CREATED_UTC
-from cryptolex.lexicon import AFFIX_KINDS
+from cryptolex.lexicon import AFFIX_KINDS, parse_json_line
 
 from conftest import (
     DEEP_NESTING_LINE,
@@ -101,6 +101,19 @@ class TestParsePost:
         with pytest.raises(PostFormatError, match="line 3: invalid UTF-8"):
             parse_post_line(b'{"id": "\xff"}\n', line=3)
 
+    @pytest.mark.parametrize("field", ["id", "user", "forum", "parent_id"])
+    @pytest.mark.parametrize("value", ["\ud800", "a\udfff", "é\udc00"])
+    def test_lone_surrogate_in_a_written_field_is_malformed(self, field, value):
+        # a JSON \ud800 escape decodes to a str no UTF-8 output can encode
+        message = f"line 2: field '{field}' holds a lone surrogate"
+        with pytest.raises(PostFormatError, match=message):
+            parse_post_line(jline({**GOOD, field: value}), line=2)
+
+    def test_surrogates_elsewhere_are_kept(self):
+        # a pair is one character once decoded, and text is only read for words
+        post = parse_post_line(jline({**GOOD, "id": "\U0001f600", "text": "hi \ud800"}))
+        assert (post.id, post.text) == ("\U0001f600", "hi \ud800")
+
 
 # past the range: an int too large for a float, and a second in the year
 # 3170843; then the last second of 9999 and the one after it
@@ -145,6 +158,159 @@ class TestCreatedRange:
                 PostFormatError, match="line 2: field 'created_utc' is out of"
             ):
                 scan()
+
+
+FIELDS = ("id", "user", "forum", "created_utc", "text", "parent_id")
+FULL = {**GOOD, "parent_id": "p0"}
+MISSING = object()
+
+field_strings = st.one_of(
+    st.text(st.sampled_from(["a", "0", " ", "é", "中", "\U0001f600", "\ud800", "\udfff"]), max_size=3),
+    st.integers().map(str),
+    st.floats().map(str),
+)
+field_values = st.one_of(
+    field_strings,
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-(2**53), 2**53).map(float),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+created_values = st.sampled_from([-1, 0, MAX_CREATED_UTC, MAX_CREATED_UTC + 1, 2**70, -1.0, 2.5])
+
+
+@st.composite
+def post_records(draw) -> dict:
+    """A well-formed record with some fields changed, dropped or added."""
+    record = dict(FULL)
+    for name in draw(st.sets(st.sampled_from(FIELDS), max_size=3)):
+        values = [field_values, st.just(MISSING)]
+        if name == "created_utc":
+            values.append(created_values)
+        value = draw(st.one_of(values))
+        if value is MISSING:
+            del record[name]
+        else:
+            record[name] = value
+    record.update(draw(st.dictionaries(st.text(max_size=2), field_values, max_size=2)))
+    return record
+
+
+# lines json.loads must judge alike, drawn from valid JSON and then spoilt
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def json_line_texts(draw) -> str:
+    text = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
+    spoil = draw(st.sampled_from(["none", "trailing", "leading", "bom", "cut", "replace"]))
+    if spoil == "trailing":
+        text += draw(st.sampled_from([" ", "\t", "x", "{}", " 1", ",", "]"]))
+    elif spoil == "leading":
+        text = draw(st.sampled_from([" ", "\n", "x"])) + text
+    elif spoil == "bom":
+        text = "\ufeff" + text
+    elif spoil == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif spoil == "replace" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + draw(st.sampled_from('{}[]",:\\0eE-.nN')) + text[at + 1 :]
+    return text
+
+
+json_line_oddities = st.sampled_from(
+    [
+        "NaN",
+        "-Infinity",
+        '{"t": [NaN, Infinity, -Infinity]}',
+        # deep, but not within a few levels of the recursion limit: there
+        # json.loads' own frames make it fail where the scanner, called
+        # from fewer frames, reads the line
+        "[" * 500 + "]" * 500,
+        "[" * 500,
+        DEEP_NESTING_LINE,
+        "1" * 4300,  # int()'s default digit limit
+        "-" + "1" * 4300,
+        LONG_INTEGER_LINE,
+        '{"n": 1e400}',
+        '"\\ud800"',
+        '{"a": 1} {"b": 2}',
+        '{"a": 1}\n',
+    ]
+)
+
+
+def reference_parse_json_line(text: str):
+    """json.loads with the messages a JSON Lines reader gives."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = exc.msg
+    except ValueError:
+        message = "integer too long"
+    except RecursionError:
+        message = "nested too deeply"
+    raise PostFormatError(f"invalid JSON ({message})", 5)
+
+
+def outcome(parse, arg):
+    """What a parser makes of arg: ("value", repr) or ("error", message).
+    repr tells 1 from 1.0 and True, and shows NaN, which equals nothing."""
+    try:
+        value = parse(arg)
+    except PostFormatError as exc:
+        return "error", str(exc)
+    if isinstance(value, Post):
+        value = [(type(field), field) for field in value]
+    return "value", repr(value)
+
+
+def assert_record_matches_reference(record) -> None:
+    assert outcome(lambda r: corpus.parse_post_record(r, 3), record) == outcome(
+        lambda r: corpus._check_post_record(r, 3), record
+    )
+
+
+class TestLineFastPaths:
+    """Each fast path of parse_post_line against the reference it stands
+    in for: an equal value, or an equal message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(json_line_texts(), json_line_oddities, st.text(max_size=12)))
+    def test_json_scan_matches_json_loads(self, text):
+        assert outcome(lambda t: parse_json_line(t, 5, PostFormatError), text) == outcome(
+            reference_parse_json_line, text
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(post_records(), field_values))
+    @example(FULL)
+    @example(GOOD)
+    def test_record_check_matches_reference(self, record):
+        assert_record_matches_reference(record)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(FIELDS), st.one_of(created_values, field_values, st.just(MISSING)))
+    @example("created_utc", -1)
+    @example("created_utc", 0)
+    @example("created_utc", MAX_CREATED_UTC)
+    @example("created_utc", MAX_CREATED_UTC + 1)
+    @example("created_utc", 2**70)
+    @example("created_utc", True)
+    def test_one_field_off_matches_reference(self, name, value):
+        # one fault at a time: the record each check of the fast path guards
+        record = {key: FULL[key] for key in FIELDS if key != name}
+        if value is not MISSING:
+            record[name] = value
+        assert_record_matches_reference(record)
 
 
 class TestReadPosts:
@@ -541,6 +707,7 @@ MALFORMED = [
     jline({"id": "x"}),
     jline([1]),
     jline({**GOOD, "created_utc": -1}),
+    jline({**GOOD, "user": "u\ud800"}),
     LONG_INTEGER_LINE,
     DEEP_NESTING_LINE,
 ]
