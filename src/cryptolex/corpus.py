@@ -81,8 +81,10 @@ class ReadReport:
 
 
 def parse_post_record(record, line: int | None = None) -> Post:
-    """A Post from one decoded record. A well-formed record, the kind a
-    dump is made of, passes one type test; every other record goes to
+    """A Post from one decoded record. A record with an int created_utc
+    in range and string fields, id, user, forum and parent_id holding no
+    lone surrogate, passes one type test; every other record, one with a
+    float or numeric-string created_utc included, goes to
     _check_post_record, the reference and the only source of errors."""
     if type(record) is dict:
         get = record.get
@@ -90,12 +92,15 @@ def parse_post_record(record, line: int | None = None) -> Post:
         created, parent = get("created_utc"), get("parent_id")
         # isascii is a flag test, and an ASCII string holds no surrogate
         if (
-            type(pid) is str and pid and pid.isascii()
-            and type(user) is str and user.isascii()
-            and type(forum) is str and forum.isascii()
+            type(created) is int and 0 <= created <= MAX_CREATED_UTC
+            and type(pid) is str and pid and (pid.isascii() or not _SURROGATE.search(pid))
+            and type(user) is str and (user.isascii() or not _SURROGATE.search(user))
+            and type(forum) is str and (forum.isascii() or not _SURROGATE.search(forum))
             and type(text) is str
-            and type(created) is int and 0 <= created <= MAX_CREATED_UTC
-            and (parent is None or type(parent) is str and parent.isascii())
+            and (
+                parent is None
+                or type(parent) is str and (parent.isascii() or not _SURROGATE.search(parent))
+            )
         ):
             # tuple.__new__ skips the Python frame of Post's own __new__
             return tuple.__new__(Post, (pid, user, forum, created, text, parent))
@@ -134,7 +139,8 @@ def _check_post_record(record, line: int | None = None) -> Post:
         raise PostFormatError("field 'parent_id' must be a string when present", line)
     # no output could encode a lone surrogate; text only yields words, which hold none
     for name in ("id", "user", "forum", "parent_id"):
-        if _SURROGATE.search(record.get(name) or ""):
+        value = record.get(name) or ""
+        if not value.isascii() and _SURROGATE.search(value):
             raise PostFormatError(f"field {name!r} holds a lone surrogate", line)
     return Post(
         id=record["id"],

@@ -234,7 +234,11 @@ def parse_json_line(text: str, line: int | None, error: type[ValueError]):
 
     A line the scanner reads whole in one call is json.loads' value; any
     other line, even one with trailing whitespace, goes to json.loads
-    itself, the reference and the only source of messages."""
+    itself, the reference and the only source of messages. The one
+    departure is depth: how deep a line may nest is bounded by the stack
+    left to the caller, and the scanner runs a few frames shallower than
+    json.loads, so a line nested to within a few levels of that bound may
+    parse here where json.loads would give "nested too deeply"."""
     try:
         value, end = _scan_json(text, 0)
     except (StopIteration, ValueError, RecursionError):

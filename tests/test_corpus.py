@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -231,9 +232,8 @@ json_line_oddities = st.sampled_from(
         "NaN",
         "-Infinity",
         '{"t": [NaN, Infinity, -Infinity]}',
-        # deep, but not within a few levels of the recursion limit: there
-        # json.loads' own frames make it fail where the scanner, called
-        # from fewer frames, reads the line
+        # deep, but not within a few levels of the recursion limit, where
+        # the scanner may read a line json.loads rejects (the cut-off test)
         "[" * 500 + "]" * 500,
         "[" * 500,
         DEEP_NESTING_LINE,
@@ -311,6 +311,26 @@ class TestLineFastPaths:
         if value is not MISSING:
             record[name] = value
         assert_record_matches_reference(record)
+
+    def test_nesting_cut_off_is_json_loads_or_a_few_levels_deeper(self):
+        # both cut-offs move with the caller's stack; the scanner runs a few
+        # frames shallower than json.loads, so it may read a few levels more
+        def deepest(parse) -> int:
+            for depth in range(1, sys.getrecursionlimit() + 1):
+                try:
+                    parse("[" * depth + "]" * depth)
+                except (RecursionError, PostFormatError):
+                    return depth - 1
+            raise AssertionError("no depth failed")
+
+        reference = deepest(json.loads)
+        fast = deepest(lambda t: parse_json_line(t, 5, PostFormatError))
+        assert reference <= fast <= reference + 8
+        too_deep = "[" * (fast + 1) + "]" * (fast + 1)
+        assert outcome(lambda t: parse_json_line(t, 5, PostFormatError), too_deep) == (
+            "error",
+            "line 5: invalid JSON (nested too deeply)",
+        )
 
 
 class TestReadPosts:
