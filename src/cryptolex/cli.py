@@ -95,6 +95,17 @@ def _load_cli_lexicon(args) -> Lexicon:
     return load_lexicon(seed_lexicon_text(), blocklist)
 
 
+def _check_output(output: str | None) -> None:
+    """Fail before a scan if output could not be created. Opening it here
+    would truncate a file the scan may read, so only its folder is checked."""
+    if output:
+        folder = os.path.dirname(output) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write --output {output}: no directory {folder}")
+        if not os.access(folder, os.W_OK):
+            raise OSError(f"cannot write --output {output}: directory {folder} is not writable")
+
+
 def _open_output(output: str | None):
     if output:
         return open(output, "w", encoding="utf-8")
@@ -119,6 +130,9 @@ _span_payload = annotation_json
 
 
 def run_lexicon(args) -> int:
+    if args.output is not None and args.action == "validate":
+        print("cryptolex lexicon: error: --output needs stats or export", file=sys.stderr)
+        return 2
     lexicon = _load_cli_lexicon(args)
     if args.action == "validate":
         issues = validate(lexicon)
@@ -187,10 +201,10 @@ def run_discover(args) -> int:
         if value is not None and not args.affixes:
             print(f"cryptolex discover: error: {flag} needs --affixes", file=sys.stderr)
             return 2
+    _check_output(args.output)
     report = ReadReport()
     lexicon = _load_cli_lexicon(args) if args.affixes else None
-    # read before the scan, so a bad stoplist costs no scan; --output is
-    # opened only after it, since opening truncates a file the scan may read
+    # read before the scan, so a bad stoplist costs no scan
     stoplist = load_word_list(Path(args.stoplist)) if args.stoplist else frozenset()
     target, background = scan_tables(
         (Path(args.input), Path(args.background)),
@@ -222,6 +236,7 @@ def run_discover(args) -> int:
 
 def run_trajectory(args) -> int:
     _warn_banner()
+    _check_output(args.output)
     lexicon = _load_cli_lexicon(args)
     report = ReadReport()
     usage = scan_usage(
@@ -238,12 +253,10 @@ def run_trajectory(args) -> int:
     per_user: dict[str, dict[str, tuple[int, int, int]]] = {}
     for (user, week), cell in usage.items():
         per_user.setdefault(user, {})[week] = cell
-    if args.user is not None:
-        if args.user not in per_user:
-            raise ValueError(f"user not found: {args.user!r}")
-        users = [args.user]
-    else:
-        users = sorted(per_user)
+    # with --user the scan keeps only that user's posts
+    users = sorted(per_user)
+    if not users:
+        raise ValueError(f"user not found: {args.user!r}")
     series_list = [series_from_counts(u, per_user[u]) for u in users]
     if args.gaps:
         data = [detect_gaps(s, args.min_gap_weeks) for s in series_list]

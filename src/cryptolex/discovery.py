@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .corpus import FrequencyTable
+from .lexicon import CATEGORIES
 
 
 class DiscoveryError(ValueError):
@@ -58,13 +59,13 @@ def log_ratio_rank(
 
     vocab = len(set(target.counts) | set(background.counts))
     by_frequency = sorted(target.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    rank_of = {token: rank for rank, (token, _) in enumerate(by_frequency, start=1)}
-    candidates = [(t, c) for t, c in by_frequency if c >= min_count][:top_k]
+    # counts never rise along by_frequency, so the candidates are its first rows
+    candidates = [(t, c) for t, c in by_frequency[:top_k] if c >= min_count]
 
     n_target = target.total_tokens
     n_background = background.total_tokens
     rows = []
-    for token, count in candidates:
+    for rank, (token, count) in enumerate(candidates, start=1):
         bg_count = background.counts.get(token, 0)
         p_target = (count + alpha) / (n_target + alpha * vocab)
         p_background = (bg_count + alpha) / (n_background + alpha * vocab)
@@ -76,55 +77,35 @@ def log_ratio_rank(
         ratio = math.log2(p_target / p_background) if p_target and p_background else math.inf
         if not math.isfinite(ratio):
             raise DiscoveryError(f"alpha={alpha!r} gives token {token!r} a non-finite log ratio")
-        rows.append(LogRatioRow(token, count, bg_count, rank_of[token], ratio))
+        rows.append(LogRatioRow(token, count, bg_count, rank, ratio))
     rows.sort(key=lambda r: (-r.log_ratio, r.token))
     return rows
 
 
-RANKED_COLUMNS = ("token", "target_count", "background_count", "target_rank", "log_ratio")
-SHEET_COLUMNS = (
-    "token",
-    "target_count",
-    "background_count",
-    "log_ratio",
-    "definition",
-    "dehumanizing",
-    "racist",
-    "misogynistic",
-)
+def _tsv(rows: Iterable[LogRatioRow], columns: list[str], blank: tuple[str, ...] = ()) -> str:
+    """A header, then one line per row: its columns' values, log ratios to
+    four decimals, and an empty cell under each blank column."""
+    lines = ["\t".join([*columns, *blank])]
+    pad = "\t" * len(blank)
+    for r in rows:
+        cells = [getattr(r, c) for c in columns]
+        lines.append("\t".join(f"{v:.4f}" if isinstance(v, float) else str(v) for v in cells) + pad)
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_tsv(rows: Iterable[LogRatioRow]) -> str:
-    lines = ["\t".join(RANKED_COLUMNS)]
-    for r in rows:
-        lines.append(
-            f"{r.token}\t{r.target_count}\t{r.background_count}\t{r.target_rank}\t{r.log_ratio:.4f}"
-        )
-    return "\n".join(lines) + "\n"
+    """Ranked TSV whose columns are LogRatioRow's fields."""
+    return _tsv(rows, [f.name for f in fields(LogRatioRow)])
 
 
 def rows_to_jsonl(rows: Iterable[LogRatioRow]) -> str:
-    out = []
-    for r in rows:
-        out.append(
-            json.dumps(
-                {
-                    "token": r.token,
-                    "target_count": r.target_count,
-                    "background_count": r.background_count,
-                    "target_rank": r.target_rank,
-                    "log_ratio": r.log_ratio,
-                },
-                ensure_ascii=False,
-            )
-        )
-    return "".join(line + "\n" for line in out)
+    """One JSON object per row, keyed by LogRatioRow's fields in order;
+    log_ratio keeps full precision."""
+    return "".join(json.dumps(vars(r), ensure_ascii=False) + "\n" for r in rows)
 
 
 def review_sheet(rows: Iterable[LogRatioRow]) -> str:
-    """TSV for manual coding: stats plus empty definition/category columns."""
-    lines = ["\t".join(SHEET_COLUMNS)]
-    for r in rows:
-        lines.append(f"{r.token}\t{r.target_count}\t{r.background_count}\t{r.log_ratio:.4f}\t\t\t\t")
-    return "\n".join(lines) + "\n"
-
+    """TSV for manual coding: the ranked columns but target_rank, then empty
+    definition and category columns."""
+    columns = [f.name for f in fields(LogRatioRow) if f.name != "target_rank"]
+    return _tsv(rows, columns, ("definition", *CATEGORIES))

@@ -10,10 +10,10 @@ before the gap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from itertools import accumulate
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import csv
 
@@ -120,46 +120,21 @@ def detect_gaps(series: UsageSeries, min_gap_weeks: int = 4) -> GapReport:
     return GapReport(user=series.user, gaps=tuple(gaps))
 
 
-SERIES_COLUMNS = ("user", "iso_week", "posts", "tokens", "matched", "rate")
-GAP_COLUMNS = (
-    "user",
-    "last_active_week",
-    "next_active_week",
-    "gap_weeks",
-    "pre_rate",
-    "post_rate",
-    "escalation",
-)
-
-
-def _series_rows(series: UsageSeries) -> list[list]:
-    return [
-        [series.user, b.iso_week, b.posts, b.tokens, b.matched, f"{b.rate:.6f}"]
-        for b in series.buckets
-    ]
-
-
-def _gap_rows(report: GapReport) -> list[list]:
-    return [
-        [
-            report.user,
-            g.last_active_week,
-            g.next_active_week,
-            g.gap_weeks,
-            f"{g.pre_rate:.6f}",
-            f"{g.post_rate:.6f}",
-            "" if g.escalation is None else f"{g.escalation:.6f}",
-        ]
-        for g in report.gaps
-    ]
+def _rows(groups: list[tuple[str, tuple]], number: Callable[[float], object]) -> Iterator[list]:
+    """One row per record: its user, then its fields, each float through number."""
+    for user, records in groups:
+        for record in records:
+            yield [user, *[number(v) if isinstance(v, float) else v for v in vars(record).values()]]
 
 
 def export_series(data, format: str = "csv") -> str:
     """Render series or gap reports as csv (header + rows) or jsonl.
 
     data may be one UsageSeries, one GapReport, or a homogeneous list of
-    either; lists share a single header. Row order follows input order,
-    so callers control grouping.
+    either; lists share a single header. The columns are "user", then
+    WeekBucket's or Gap's fields. Rates have six decimals in both formats,
+    and an undefined escalation is an empty cell or null. Row order follows
+    input order, so callers control grouping.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {format!r}")
@@ -167,27 +142,19 @@ def export_series(data, format: str = "csv") -> str:
     if not items:
         raise ValueError("nothing to export")
     if all(isinstance(it, UsageSeries) for it in items):
-        columns, row_fn = SERIES_COLUMNS, _series_rows
+        record_type, groups = WeekBucket, [(it.user, it.buckets) for it in items]
     elif all(isinstance(it, GapReport) for it in items):
-        columns, row_fn = GAP_COLUMNS, _gap_rows
+        record_type, groups = Gap, [(it.user, it.gaps) for it in items]
     else:
         raise ValueError("cannot mix series and gap reports in one export")
+    columns = ["user", *(f.name for f in fields(record_type))]
 
     if format == "csv":
         buffer = StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(buffer, lineterminator="\n")  # writes None as an empty cell
         writer.writerow(columns)
-        for item in items:
-            writer.writerows(row_fn(item))
+        writer.writerows(_rows(groups, "{:.6f}".format))
         return buffer.getvalue()
-
-    lines = []
-    for item in items:
-        for row in row_fn(item):
-            record = {}
-            for name, value in zip(columns, row):
-                if name in ("rate", "pre_rate", "post_rate", "escalation"):
-                    value = None if value == "" else float(value)
-                record[name] = value
-            lines.append(json.dumps(record, ensure_ascii=False))
-    return "".join(line + "\n" for line in lines)
+    # round(v, 6) is the float that the csv cell f"{v:.6f}" reads as
+    rows = _rows(groups, lambda v: round(v, 6))
+    return "".join(json.dumps(dict(zip(columns, row)), ensure_ascii=False) + "\n" for row in rows)

@@ -108,6 +108,12 @@ class TestLexiconCommand:
         assert main(["lexicon", "stats", "--lexicon", str(tmp_path / "gone.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_validate_output_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        assert main(["lexicon", "validate", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "cryptolex lexicon: error: --output needs stats or export\n"
+        assert not out.exists()
+
 
 class TestAnnotateCommand:
     def test_corpus_stream(self, corpus, capsys):
@@ -484,6 +490,32 @@ class TestExitContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument {flag}: must not be empty" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["discover", "--input", "{missing}", "--background", "{missing}"],
+            ["trajectory", "--all", "--input", "{missing}"],
+        ],
+    )
+    def test_unwritable_output_fails_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # the output is opened only after the scan, so its folder is checked first
+        argv = [arg.format(missing=tmp_path / "missing.jsonl") for arg in command]
+        out = tmp_path / "missing" / "out.tsv"
+        assert main([*argv, "--output", str(out), "--workers", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write --output {out}: no directory {out.parent}\n"
+        )
+        assert not out.parent.exists()
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "out.tsv"
+        assert main([*argv, "--output", str(out), "--workers", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write --output {out}: directory {tmp_path} is not writable\n"
+        )
+        assert not out.exists()
 
     def test_workers_default_follows_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

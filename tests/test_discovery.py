@@ -4,9 +4,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cryptolex import (
+    CATEGORIES,
     DiscoveryError,
     FrequencyTable,
     LexiconEntry,
@@ -113,6 +114,35 @@ class TestLogRatio:
         assert a1 > 0
 
 
+def reference_rank(target, background, alpha, top_k, min_count):
+    """log_ratio_rank by brute force: rank the whole vocabulary, filter by
+    min_count, then cut at top_k."""
+    by_frequency = sorted(target.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    rank_of = {token: rank for rank, (token, _) in enumerate(by_frequency, start=1)}
+    candidates = [(t, c) for t, c in by_frequency if c >= min_count][:top_k]
+    vocab = len(set(target.counts) | set(background.counts))
+    rows = []
+    for token, count in candidates:
+        bg_count = background.counts.get(token, 0)
+        p_target = (count + alpha) / (target.total_tokens + alpha * vocab)
+        p_background = (bg_count + alpha) / (background.total_tokens + alpha * vocab)
+        rows.append(LogRatioRow(token, count, bg_count, rank_of[token], math.log2(p_target / p_background)))
+    return sorted(rows, key=lambda r: (-r.log_ratio, r.token))
+
+
+# few short tokens and small counts, so tables share tokens and tie on counts
+count_tables = st.dictionaries(st.text("abc", min_size=1, max_size=3), st.integers(1, 6), min_size=1)
+
+
+@settings(max_examples=300)
+@given(count_tables, count_tables, st.integers(1, 5), st.data())
+def test_rank_matches_brute_force_reference(target_counts, background_counts, min_count, data):
+    target, background = table(target_counts), table(background_counts)
+    top_k = data.draw(st.integers(1, len(target_counts) + 2))
+    got = log_ratio_rank(target, background, top_k=top_k, min_count=min_count)
+    assert got == reference_rank(target, background, 0.5, top_k, min_count)
+
+
 class TestStoplist:
     def test_load(self, tmp_path):
         p = tmp_path / "stop.txt"
@@ -127,14 +157,37 @@ ROWS = [
 
 
 class TestExports:
+    # golden bytes: renaming or reordering a LogRatioRow field changes a table
     def test_tsv_shape(self):
         lines = rows_to_tsv(ROWS).splitlines()
         assert lines[0] == "token\ttarget_count\tbackground_count\ttarget_rank\tlog_ratio"
         assert lines[1] == "gymcel\t12\t0\t3\t5.9542"
+        assert rows_to_tsv(ROWS[1:]) == (
+            "token\ttarget_count\tbackground_count\ttarget_rank\tlog_ratio\n"
+            "cope\t40\t2\t1\t3.2500\n"
+        )
 
     def test_jsonl_keeps_full_precision(self):
         first = json.loads(rows_to_jsonl(ROWS).splitlines()[0])
         assert first["log_ratio"] == 5.954196310386801
+        assert rows_to_jsonl(ROWS[:1]) == (
+            '{"token": "gymcel", "target_count": 12, "background_count": 0, '
+            '"target_rank": 3, "log_ratio": 5.954196310386801}\n'
+        )
+        assert rows_to_jsonl([LogRatioRow("güzel", 5, 1, 2, 1.0)]).startswith('{"token": "güzel", ')
+
+    def test_review_sheet_bytes(self):
+        assert review_sheet(ROWS[:1]) == (
+            "token\ttarget_count\tbackground_count\tlog_ratio\tdefinition\t"
+            "dehumanizing\tracist\tmisogynistic\n"
+            "gymcel\t12\t0\t5.9542\t\t\t\t\n"
+        )
+
+    def test_review_sheet_codes_every_category(self, monkeypatch):
+        monkeypatch.setattr("cryptolex.discovery.CATEGORIES", (*CATEGORIES, "new"))
+        header, line = review_sheet(ROWS[:1]).splitlines()
+        assert header.endswith("\tmisogynistic\tnew")
+        assert line.count("\t") == header.count("\t")
 
     def test_review_sheet_round_trip(self):
         # the coding loop: each row kept from the sheet is written as a

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from datetime import date, timedelta
 
@@ -183,16 +184,28 @@ class TestExport:
             "matched": 1,
             "rate": 0.05,
         }
+        assert export_series(series, format="jsonl") == (
+            '{"user": "u1", "iso_week": "2020-W02", "posts": 2, "tokens": 20, "matched": 1, '
+            '"rate": 0.05}\n'
+        )
 
     def test_gap_csv_blank_escalation(self):
         series = weeks({"2020-W01": (100, 0), "2020-W10": (100, 10)})
         text = export_series(detect_gaps(series))
         assert text.splitlines()[1].endswith(",0.000000,0.100000,")
+        assert text == (
+            "user,last_active_week,next_active_week,gap_weeks,pre_rate,post_rate,escalation\n"
+            "u1,2020-W01,2020-W10,8,0.000000,0.100000,\n"
+        )
 
     def test_gap_jsonl_null_escalation(self):
         series = weeks({"2020-W01": (100, 0), "2020-W10": (100, 10)})
         record = json.loads(export_series(detect_gaps(series), format="jsonl"))
         assert record["escalation"] is None
+        assert export_series(detect_gaps(series), format="jsonl") == (
+            '{"user": "u1", "last_active_week": "2020-W01", "next_active_week": "2020-W10", '
+            '"gap_weeks": 8, "pre_rate": 0.0, "post_rate": 0.1, "escalation": null}\n'
+        )
 
     def test_list_shares_one_header(self):
         a = series_from_counts("a", {"2020-W01": (1, 10, 1)})
@@ -215,3 +228,30 @@ class TestExport:
         series = series_from_counts("a", {"2020-W01": (1, 10, 1)})
         with pytest.raises(ValueError, match="format"):
             export_series(series, format="xml")
+
+
+rates = st.floats(min_value=0, max_value=1e17, allow_subnormal=True)
+
+
+@given(rates, st.lists(st.tuples(rates, rates, st.none() | rates), min_size=1, max_size=4))
+def test_export_writes_floats_to_six_decimals(rate, gap_rates):
+    series = UsageSeries("u", (WeekBucket("2020-W01", 1, 2, 1, rate),))
+    report = GapReport(
+        "u", tuple(Gap("2020-W01", "2020-W09", 7, pre, post, esc) for pre, post, esc in gap_rates)
+    )
+
+    def cell(v):
+        return "" if v is None else f"{v:.6f}"
+
+    def number(v):
+        return None if v is None else float(f"{v:.6f}")
+
+    _, row = csv.reader(export_series(series).splitlines())
+    assert row[-1] == cell(rate)
+    assert json.loads(export_series(series, format="jsonl"))["rate"] == number(rate)
+    rows = list(csv.reader(export_series(report).splitlines()))[1:]
+    records = [json.loads(line) for line in export_series(report, format="jsonl").splitlines()]
+    assert [r[4:] for r in rows] == [[cell(v) for v in gap] for gap in gap_rates]
+    assert [[r["pre_rate"], r["post_rate"], r["escalation"]] for r in records] == [
+        [number(v) for v in gap] for gap in gap_rates
+    ]
