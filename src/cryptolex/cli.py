@@ -95,10 +95,25 @@ def _load_cli_lexicon(args) -> Lexicon:
     return load_lexicon(seed_lexicon_text(), blocklist)
 
 
-def _check_output(output: str | None) -> None:
-    """Fail before a scan if output could not be created. Opening it here
-    would truncate a file the scan may read, so only its folder is checked."""
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a file is missing, so only the same path names it twice
+        return os.path.abspath(a) == os.path.abspath(b)
+
+
+def _check_output(args) -> None:
+    """Fail before any input is read if --output names a file the command
+    reads or could not be written. Opening it here would truncate such a
+    file, so the path is only looked at."""
+    output = args.output
     if output:
+        for flag in ("input", "background", "lexicon", "blocklist", "stoplist"):
+            path = getattr(args, flag, None)
+            if path and _same_file(path, output):
+                raise argparse.ArgumentError(None, f"--output names the --{flag} file")
+        if os.path.isdir(output):
+            raise OSError(f"cannot write --output {output}: it is a directory")
         folder = os.path.dirname(output) or "."
         if not os.path.isdir(folder):
             raise OSError(f"cannot write --output {output}: no directory {folder}")
@@ -110,13 +125,6 @@ def _open_output(output: str | None):
     if output:
         return open(output, "w", encoding="utf-8")
     return contextlib.nullcontext(sys.stdout)
-
-
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # a file is missing, so only the same path names it twice
-        return os.path.abspath(a) == os.path.abspath(b)
 
 
 def _report_skips(report: ReadReport) -> None:
@@ -131,8 +139,7 @@ _span_payload = annotation_json
 
 def run_lexicon(args) -> int:
     if args.output is not None and args.action == "validate":
-        print("cryptolex lexicon: error: --output needs stats or export", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(None, "--output needs stats or export")
     lexicon = _load_cli_lexicon(args)
     if args.action == "validate":
         issues = validate(lexicon)
@@ -176,11 +183,6 @@ def run_annotate(args) -> int:
         if terms:
             print("matched terms: " + ", ".join(terms), file=sys.stderr)
     else:
-        # the scan reads the input while the output is written, so opening
-        # the output first would truncate the corpus it is about to read
-        if args.output and _same_file(args.input, args.output):
-            print("cryptolex annotate: error: --output names the --input file", file=sys.stderr)
-            return 2
         report = ReadReport()
         with _open_output(args.output) as out:
             for text, n_tokens, n_matched in scan_annotations(
@@ -199,9 +201,7 @@ def run_annotate(args) -> int:
 def run_discover(args) -> int:
     for flag, value in (("--lexicon", args.lexicon), ("--blocklist", args.blocklist)):
         if value is not None and not args.affixes:
-            print(f"cryptolex discover: error: {flag} needs --affixes", file=sys.stderr)
-            return 2
-    _check_output(args.output)
+            raise argparse.ArgumentError(None, f"{flag} needs --affixes")
     report = ReadReport()
     lexicon = _load_cli_lexicon(args) if args.affixes else None
     # read before the scan, so a bad stoplist costs no scan
@@ -236,7 +236,6 @@ def run_discover(args) -> int:
 
 def run_trajectory(args) -> int:
     _warn_banner()
-    _check_output(args.output)
     lexicon = _load_cli_lexicon(args)
     report = ReadReport()
     usage = scan_usage(
@@ -331,7 +330,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse already printed usage or version; fold into exit contract
         return int(exc.code or 0)
     try:
+        _check_output(args)
         return args.handler(args)
+    except argparse.ArgumentError as exc:  # a usage error argparse could not see
+        print(f"cryptolex {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
     except BrokenProcessPool as exc:

@@ -15,10 +15,11 @@ from cryptolex import (
     LexiconEntry,
     corpus,
     decompose,
+    iso_week,
     load_seed_lexicon,
     tokenize,
 )
-from cryptolex.lexicon import TSV_COLUMNS, read_lines
+from cryptolex.lexicon import AFFIX_KINDS, TSV_COLUMNS, read_lines
 from cryptolex.morpho import Annotation, Span
 
 # definitions mixing in every character str.splitlines breaks a line on
@@ -59,6 +60,29 @@ def reference_annotation(text: str, lexicon: Lexicon, post_id: str = "p") -> Ann
             )
             spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
     return Annotation(post_id, tuple(spans), len(tokens), len(spans))
+
+
+def productive_affixes(text: str, lexicon: Lexicon) -> list[str]:
+    """The productive affixes in the best parses of reference_annotation,
+    which the affix scan counts."""
+    return [
+        seg.entry.surface
+        for span in reference_annotation(text, lexicon).spans
+        for seg in span.parse.segments
+        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
+    ]
+
+
+def reference_usage(posts, lexicon: Lexicon) -> dict:
+    """The usage scan's cells, (user, week) -> (posts, tokens, matched),
+    from reference_annotation over the posts."""
+    usage: dict = {}
+    for post in posts:
+        ann = reference_annotation(post.text, lexicon, post.id)
+        key = (post.user, iso_week(post.created_utc))
+        n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
+        usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+    return usage
 
 
 def lexicon_jsonl(entries) -> str:

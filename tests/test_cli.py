@@ -16,7 +16,6 @@ from cryptolex import (
     annotation_json,
     detect_gaps,
     export_series,
-    iso_week,
     load_seed_lexicon,
     log_ratio_rank,
     read_posts,
@@ -26,8 +25,9 @@ from cryptolex import (
 )
 from cryptolex import corpus as corpus_module
 from cryptolex import PostFormatError
+from cryptolex import cli
 from cryptolex.cli import build_parser, main
-from cryptolex.lexicon import AFFIX_KINDS
+from cryptolex.lexicon import seed_lexicon_text
 
 from conftest import (
     BEYOND_JSON_PARSER,
@@ -35,7 +35,9 @@ from conftest import (
     chunk_lines,
     lexicon_jsonl,
     make_post,
+    productive_affixes,
     reference_annotation,
+    reference_usage,
     tsv_rows,
     week_ts,
     write_jsonl,
@@ -425,6 +427,44 @@ def _crash_worker(chunk):
     os._exit(3)
 
 
+# each command with every file it reads, named by the flag's placeholder
+READING_COMMANDS = {
+    "annotate": ["annotate", "--input", "{input}", "--lexicon", "{lexicon}",
+                 "--blocklist", "{blocklist}"],
+    "annotate-plain": ["annotate", "--plain", "--input", "{input}", "--lexicon", "{lexicon}",
+                       "--blocklist", "{blocklist}"],
+    "discover": ["discover", "--input", "{input}", "--background", "{background}",
+                 "--stoplist", "{stoplist}"],
+    "discover-affixes": ["discover", "--affixes", "--input", "{input}", "--background",
+                         "{background}", "--stoplist", "{stoplist}", "--lexicon", "{lexicon}",
+                         "--blocklist", "{blocklist}"],
+    "trajectory": ["trajectory", "--all", "--input", "{input}", "--lexicon", "{lexicon}",
+                   "--blocklist", "{blocklist}"],
+    "lexicon-stats": ["lexicon", "stats", "--lexicon", "{lexicon}", "--blocklist", "{blocklist}"],
+    "lexicon-export": ["lexicon", "export", "--lexicon", "{lexicon}", "--blocklist", "{blocklist}"],
+}
+READ_FLAGS = [
+    (name, flag)
+    for name, argv in READING_COMMANDS.items()
+    for flag, value in zip(argv, argv[1:])
+    if value.startswith("{")
+]
+
+
+@pytest.fixture
+def read_files(tmp_path, corpus, background):
+    """A file for each flag of READING_COMMANDS, by its placeholder."""
+    files = {"input": corpus, "background": background}
+    for name, text in (
+        ("lexicon", seed_lexicon_text()),
+        ("blocklist", "# blocked\nwristcel\n"),
+        ("stoplist", "# left out\nplain\n"),
+    ):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text, encoding="utf-8")
+    return files
+
+
 class TestExitContract:
     def test_crashed_worker_is_data_error(self, corpus, background, monkeypatch, capsys):
         monkeypatch.setattr(corpus_module, "_scan_words_chunk", _crash_worker)
@@ -491,11 +531,64 @@ class TestExitContract:
         assert out == ""
         assert f"argument {flag}: must not be empty" in err
 
+    @pytest.mark.parametrize("name, flag", READ_FLAGS)
+    def test_output_naming_a_file_the_command_reads_is_usage_error(
+        self, read_files, capsys, name, flag
+    ):
+        # writing --output would replace the named file with the command's
+        # output; annotate would empty its corpus before reading it
+        argv = [arg.format(**read_files) for arg in READING_COMMANDS[name]]
+        named = read_files[flag[2:]]
+        before = named.read_bytes()
+        assert main([*argv, "--output", str(named)]) == 2
+        assert named.read_bytes() == before
+        assert capsys.readouterr() == (
+            "", f"cryptolex {argv[0]}: error: --output names the {flag} file\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, flag", [("trajectory", "--input"), ("lexicon-export", "--lexicon")]
+    )
+    def test_output_naming_a_read_file_by_a_link_is_usage_error(
+        self, read_files, tmp_path, capsys, name, flag
+    ):
+        # the paths differ, so only samefile sees that they name one file
+        argv = [arg.format(**read_files) for arg in READING_COMMANDS[name]]
+        named = read_files[flag[2:]]
+        link = tmp_path / "link"
+        link.symlink_to(named)
+        before = named.read_bytes()
+        assert main([*argv, "--output", str(link)]) == 2
+        assert named.read_bytes() == before
+        assert capsys.readouterr() == (
+            "", f"cryptolex {argv[0]}: error: --output names the {flag} file\n"
+        )
+
+    @pytest.mark.parametrize("name", [*READING_COMMANDS, "lexicon-validate"])
+    def test_directory_output_fails_before_any_input_is_read(
+        self, read_files, tmp_path, capsys, monkeypatch, name
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("read an input before the output was checked")
+
+        for reader in ("scan_tables", "scan_usage", "scan_annotations", "load_lexicon"):
+            monkeypatch.setattr(cli, reader, no_read)
+        command = READING_COMMANDS.get(name, ["lexicon", "validate"])
+        argv = [arg.format(**read_files) for arg in command]
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main([*argv, "--output", str(folder)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: cannot write --output {folder}: it is a directory\n"
+        )
+
     @pytest.mark.parametrize(
         "command",
         [
-            ["discover", "--input", "{missing}", "--background", "{missing}"],
-            ["trajectory", "--all", "--input", "{missing}"],
+            ["discover", "--input", "{missing}", "--background", "{missing}", "--workers", "1"],
+            ["trajectory", "--all", "--input", "{missing}", "--workers", "1"],
+            ["annotate", "--input", "{missing}", "--workers", "1"],
+            ["lexicon", "export", "--lexicon", "{missing}"],
         ],
     )
     def test_unwritable_output_fails_before_the_input_is_read(
@@ -504,14 +597,14 @@ class TestExitContract:
         # the output is opened only after the scan, so its folder is checked first
         argv = [arg.format(missing=tmp_path / "missing.jsonl") for arg in command]
         out = tmp_path / "missing" / "out.tsv"
-        assert main([*argv, "--output", str(out), "--workers", "1"]) == 1
+        assert main([*argv, "--output", str(out)]) == 1
         assert capsys.readouterr() == (
             "", f"error: cannot write --output {out}: no directory {out.parent}\n"
         )
         assert not out.parent.exists()
         monkeypatch.setattr(os, "access", lambda path, mode: False)
         out = tmp_path / "out.tsv"
-        assert main([*argv, "--output", str(out), "--workers", "1"]) == 1
+        assert main([*argv, "--output", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: cannot write --output {out}: directory {tmp_path} is not writable\n"
         )
@@ -577,15 +670,6 @@ def skip_summary(report: ReadReport) -> str:
     return f"skipped {report.skipped} malformed lines (first: {report.first_error})\n"
 
 
-def productive_affixes(text: str, lexicon) -> list[str]:
-    return [
-        seg.entry.surface
-        for span in reference_annotation(text, lexicon).spans
-        for seg in span.parse.segments
-        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
-    ]
-
-
 def reference_discover(posts, background, words, strict) -> tuple[int, str, str, bytes | None]:
     """What discover --min-count 1 gives, in one process: each source's
     table from words(text) over read_posts, ranked and rendered. In strict
@@ -617,13 +701,9 @@ def reference_trajectory(posts, lexicon, strict) -> tuple[int, str, str, bytes |
     """What trajectory --all --gaps gives, in one process: usage cells from
     the best parses of reference_annotation. In strict mode the first
     malformed line ends the run."""
-    report, usage = ReadReport(), {}
+    report = ReadReport()
     try:
-        for post in read_posts(posts, strict=strict, report=report):
-            ann = reference_annotation(post.text, lexicon, post.id)
-            key = (post.user, iso_week(post.created_utc))
-            n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
-            usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
+        usage = reference_usage(read_posts(posts, strict=strict, report=report), lexicon)
     except PostFormatError as exc:
         return 1, "", f"error: {exc}\n", None
     if not usage:

@@ -16,7 +16,6 @@ from cryptolex import (
     Post,
     PostFormatError,
     ReadReport,
-    annotate_text,
     annotation_json,
     build_frequency_table,
     iso_week,
@@ -33,13 +32,16 @@ from cryptolex import (
 )
 from cryptolex import corpus
 from cryptolex.corpus import MAX_CREATED_UTC
-from cryptolex.lexicon import AFFIX_KINDS, parse_json_line
+from cryptolex.lexicon import parse_json_line
 
 from conftest import (
     DEEP_NESTING_LINE,
     LONG_INTEGER_LINE,
     chunk_lines,
     make_post,
+    productive_affixes,
+    reference_annotation,
+    reference_usage,
     week_ts,
     write_jsonl,
 )
@@ -788,21 +790,12 @@ SCANS = {
 
 
 def reference_scans(posts, lexicon) -> dict:
-    """What each scan must return, from one pass over the parsed posts."""
-    anns = [annotate_text(post.id, post.text, lexicon) for post in posts]
-    usage: dict = {}
-    for post, ann in zip(posts, anns):
-        key = (post.user, iso_week(post.created_utc))
-        n_posts, n_tokens, n_matched = usage.get(key, (0, 0, 0))
-        usage[key] = (n_posts + 1, n_tokens + ann.token_count, n_matched + ann.matched_count)
-    # the affix scan counts from best parses alone; pinned here to the spans
-    affixes = Counter(
-        seg.entry.surface
-        for ann in anns
-        for span in ann.spans
-        for seg in span.parse.segments
-        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
-    )
+    """What each scan must return, from the parsed posts. The scans share
+    annotate_text's memo, so the references are built from
+    reference_annotation, without it."""
+    anns = [reference_annotation(post.text, lexicon, post.id) for post in posts]
+    usage = reference_usage(posts, lexicon)
+    affixes = Counter(a for post in posts for a in productive_affixes(post.text, lexicon))
     # build_frequency_table shares the word reader under test, so the words
     # reference counts tokenize's words
     words = Counter(t.normalized for post in posts for t in tokenize(post.text))
