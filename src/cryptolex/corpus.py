@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import re
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
@@ -298,15 +298,18 @@ def week_index(label: str) -> int:
 
 
 def fold_usage(posts: Iterable[Post], lexicon: Lexicon, key: Callable[[Post], Hashable]) -> dict:
-    """Sum [posts, tokens, matched] per key(post), counting through the
-    lexicon's memo."""
-    usage: dict = {}
+    """Sum (posts, tokens, matched) per key(post), keys in order of first
+    post, counting through the lexicon's memo. Each key's texts are read as
+    one, joined by "\\n": no word spans a "\\n", and the reader lowers a
+    text holding İ or Σ word by word, so the counts are those of each text
+    read alone."""
+    texts = defaultdict(list)
     for post in posts:
-        cell = usage.setdefault(key(post), [0, 0, 0])
-        tokens, matched = match_counts(post.text, lexicon)
-        cell[0] += 1
-        cell[1] += tokens
-        cell[2] += matched
+        texts[key(post)].append(post.text)
+    usage = {}
+    for cell, group in texts.items():
+        tokens, matched = match_counts("\n".join(group), lexicon)
+        usage[cell] = (len(group), tokens, matched)
     return usage
 
 
@@ -348,10 +351,6 @@ def _chunk_posts(chunk: tuple[int, list[str | bytes]], report: ReadReport) -> li
     return list(_parse_lines(enumerate(lines, start), _state.strict, report))
 
 
-def _user_week(post: Post) -> tuple[str, str]:
-    return post.user, iso_week(post.created_utc)
-
-
 def _scan_words_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
     report = ReadReport()
     return build_frequency_table(_chunk_posts(chunk, report)), report
@@ -367,7 +366,18 @@ def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
     posts = _chunk_posts(chunk, report)
     if _state.user is not None:
         posts = [post for post in posts if post.user == _state.user]
-    return fold_usage(posts, _state.lexicon, _user_week), report
+    # a chunk's posts fall on few UTC days, so each day's ISO week is worked
+    # out once; the memo lives as long as the chunk
+    weeks: dict[int, str] = {}
+
+    def user_week(post: Post) -> tuple[str, str]:
+        day = post.created_utc // 86400
+        week = weeks.get(day)
+        if week is None:
+            week = weeks[day] = iso_week(post.created_utc)
+        return post.user, week
+
+    return fold_usage(posts, _state.lexicon, user_week), report
 
 
 def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:

@@ -8,6 +8,7 @@ entry, which may be a root, an affix or a standalone term.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, fields
@@ -57,10 +58,12 @@ def log_ratio_rank(
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
 
-    vocab = len(set(target.counts) | set(background.counts))
-    by_frequency = sorted(target.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    # counts never rise along by_frequency, so the candidates are its first rows
-    candidates = [(t, c) for t, c in by_frequency[:top_k] if c >= min_count]
+    vocab = len(target.counts.keys() | background.counts.keys())
+    # the top_k most frequent tokens all count at least the top_k-th largest
+    # count, so only the tokens at or above it (and min_count) need sorting
+    threshold = max(heapq.nlargest(top_k, target.counts.values())[-1], min_count)
+    at_threshold = [(t, c) for t, c in target.counts.items() if c >= threshold]
+    candidates = sorted(at_threshold, key=lambda kv: (-kv[1], kv[0]))[:top_k]
 
     n_target = target.total_tokens
     n_background = background.total_tokens

@@ -481,6 +481,46 @@ class TestWeeks:
         assert week_index("2021-W01") - week_index("2020-W53") == 1
 
 
+class TestFoldUsage:
+    """fold_usage counts each key's texts as one text, joined by "\\n"."""
+
+    @staticmethod
+    def usage(lexicon, texts, times=None) -> dict:
+        """fold_usage over one user's posts, keyed as the usage scan keys
+        them; it must equal reference_usage, and scan_usage over the same
+        posts as one chunk."""
+        times = times or [week_ts(2020, 1)] * len(texts)
+        posts = [Post(f"p{i}", "u1", "f", t, text) for i, (t, text) in enumerate(zip(times, texts))]
+        usage = corpus.fold_usage(posts, lexicon, lambda p: (p.user, iso_week(p.created_utc)))
+        assert usage == reference_usage(posts, lexicon)
+        lines = "".join(jline(post._asdict()) + "\n" for post in posts)
+        assert scan_usage(lines, lexicon) == usage
+        return usage
+
+    def test_week_labels_at_each_days_first_and_last_second(self, seed_lexicon):
+        # every day of 2020-W52 to 2021-W01 in one chunk: a week label
+        # memoized by any key but the UTC day, such as the epoch week
+        # (created_utc // 604800, Thursday to Wednesday), mislabels a post
+        times = [
+            week_ts(year, week, day, hour=0) + second
+            for year, week in ((2020, 52), (2020, 53), (2021, 1))
+            for day in range(1, 8)
+            for second in (0, 86399)
+        ]
+        usage = self.usage(seed_lexicon, ["cope"] * len(times), times)
+        assert list(usage) == [("u1", "2020-W52"), ("u1", "2020-W53"), ("u1", "2021-W01")]
+
+    def test_texts_of_one_cell_do_not_run_together(self, seed_lexicon):
+        assert self.usage(seed_lexicon, ["ab", "cd"]) == {("u1", "2020-W01"): (2, 2, 0)}
+
+    def test_one_cell_holding_dotted_capital_i_and_capital_sigma(self, seed_lexicon):
+        # lowered as one text, "İNCEL" would split in two at U+0307 (6
+        # tokens) and "ΑΣ'Β" would keep a medial sigma in "ΑΣ"; the joined
+        # text holds both, so it is lowered word by word, as each text alone
+        texts = ["İNCEL wristcel", "ΑΣ'Β cope"]
+        assert self.usage(seed_lexicon, texts) == {("u1", "2020-W01"): (2, 5, 2)}
+
+
 def corpus_file(tmp_path, n=40):
     rows = []
     texts = ["wristcel cope", "the gymcel lifts", "plain words only", "mogging sooo hard"]
@@ -743,11 +783,22 @@ post_texts = st.one_of(
     st.text(alphabet="İΣσςıI wristcelmog'_", max_size=30),
 )
 
+# a post's created_utc: the first or last second of a drawn day in ISO
+# weeks 2020-W52 to 2021-W01, across a year's end (2020 has 53 weeks). A
+# week label memoized by any key coarser than the UTC day, such as the epoch
+# week (created_utc // 604800, from Thursday to Wednesday), mislabels some.
+post_times = st.builds(
+    lambda week, day, second: week_ts(*week, day=day, hour=0) + second,
+    st.sampled_from([(2020, 52), (2020, 53), (2021, 1)]),
+    st.integers(1, 7),
+    st.sampled_from([0, 86399]),
+)
+
 # (kind, value, line end): LF and CRLF ends mix within one corpus
 scan_lines = st.lists(
     st.tuples(
         st.one_of(
-            st.tuples(st.sampled_from(["u1", "u2"]), st.integers(1, 3), post_texts).map(
+            st.tuples(st.sampled_from(["u1", "u2"]), post_times, post_texts).map(
                 lambda post: ("post", post)
             ),
             st.sampled_from(MALFORMED).map(lambda bad: ("bad", bad)),
@@ -762,8 +813,8 @@ def render_lines(items) -> str:
     out = []
     for i, (kind, value, end) in enumerate(items):
         if kind == "post":
-            user, week, text = value
-            record = {**GOOD, "id": f"p{i}", "user": user, "created_utc": week_ts(2020, week)}
+            user, created, text = value
+            record = {**GOOD, "id": f"p{i}", "user": user, "created_utc": created}
             value = json.dumps({**record, "text": text}, ensure_ascii=False)
         out.append(value + end)
     return "".join(out)
