@@ -246,20 +246,27 @@ def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
     return merged
 
 
-def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
-    """Count normalized token occurrences over a post stream.
-
-    The texts are read as two: the ASCII ones joined by "\\n", then the
-    others joined by "\\n", so one non-ASCII post does not send every other
-    text past the reader's ASCII byte table. No word or letter run spans a
-    "\\n", and counts do not depend on order, so the counts are those of
-    each text read alone."""
-    texts = [post.text for post in posts]
+def _joined_texts(texts: list[str]) -> list[str]:
+    """texts as at most two texts: the ASCII ones joined by "\\n", then the
+    others joined by "\\n", so one non-ASCII text does not send every other
+    past the reader's ASCII byte table. Reading these gives the words of
+    each text read alone: no word or letter run spans a "\\n", and the
+    reader lowers a text holding İ or Σ word by word. Only the words' order
+    changes, and no count depends on it."""
     ascii_texts = [text for text in texts if text.isascii()]
-    words = normalized_words("\n".join(ascii_texts))
-    if len(ascii_texts) < len(texts):
-        words += normalized_words("\n".join(text for text in texts if not text.isascii()))
-    return FrequencyTable(dict(Counter(words)), total_tokens=len(words), doc_count=len(texts))
+    if len(ascii_texts) == len(texts):
+        return ["\n".join(texts)]
+    return ["\n".join(ascii_texts), "\n".join(text for text in texts if not text.isascii())]
+
+
+def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
+    """Count normalized token occurrences over a post stream, reading the
+    texts as _joined_texts joins them."""
+    texts = [post.text for post in posts]
+    counts: Counter[str] = Counter()
+    for text in _joined_texts(texts):
+        counts.update(normalized_words(text))
+    return FrequencyTable(dict(counts), total_tokens=counts.total(), doc_count=len(texts))
 
 
 def _affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
@@ -267,20 +274,16 @@ def _affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
     # by the token's best parse, keyed by canonical surface so variant
     # spellings ("mogg") count toward their entry ("mog"). Counted from the
     # best parses alone: no Span or category set per match.
-    counts: Counter[str] = Counter()
-    docs = 0
-    for post in posts:
-        docs += 1
-        for best in _best_parses(post.text, lexicon):
-            if best is not None:
-                counts.update(
-                    seg.entry.surface
-                    for seg in best.segments
-                    if seg.entry is not None
-                    and seg.entry.productive
-                    and seg.entry.kind in AFFIX_KINDS
-                )
-    return FrequencyTable(counts=dict(counts), total_tokens=sum(counts.values()), doc_count=docs)
+    texts = [post.text for post in posts]
+    counts = Counter(
+        seg.entry.surface
+        for text in _joined_texts(texts)
+        for best in _best_parses(text, lexicon)
+        if best is not None
+        for seg in best.segments
+        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
+    )
+    return FrequencyTable(dict(counts), total_tokens=counts.total(), doc_count=len(texts))
 
 
 def iso_week(created_utc: int) -> str:
@@ -300,9 +303,9 @@ def week_index(label: str) -> int:
 def fold_usage(posts: Iterable[Post], lexicon: Lexicon, key: Callable[[Post], Hashable]) -> dict:
     """Sum (posts, tokens, matched) per key(post), keys in order of first
     post, counting through the lexicon's memo. Each key's texts are read as
-    one, joined by "\\n": no word spans a "\\n", and the reader lowers a
-    text holding İ or Σ word by word, so the counts are those of each text
-    read alone."""
+    one, joined by "\\n", exact for the reason _joined_texts gives. The join
+    is inline: a usage scan folds thousands of small keys per chunk, and a
+    _joined_texts call on each cost more than it saved."""
     texts = defaultdict(list)
     for post in posts:
         texts[key(post)].append(post.text)
@@ -366,18 +369,11 @@ def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
     posts = _chunk_posts(chunk, report)
     if _state.user is not None:
         posts = [post for post in posts if post.user == _state.user]
-    # a chunk's posts fall on few UTC days, so each day's ISO week is worked
-    # out once; the memo lives as long as the chunk
-    weeks: dict[int, str] = {}
-
-    def user_week(post: Post) -> tuple[str, str]:
-        day = post.created_utc // 86400
-        week = weeks.get(day)
-        if week is None:
-            week = weeks[day] = iso_week(post.created_utc)
-        return post.user, week
-
-    return fold_usage(posts, _state.lexicon, user_week), report
+    # ISO weeks run Monday to Sunday and 1970-01-01 was a Thursday, so this
+    # numbers each post's ISO week; scan_usage labels each number once
+    return fold_usage(
+        posts, _state.lexicon, lambda post: (post.user, (post.created_utc + 3 * 86400) // 604800)
+    ), report
 
 
 def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
@@ -527,15 +523,16 @@ def scan_usage(
     """Aggregate (user, iso_week) -> (posts, tokens, matched) over a corpus,
     or over one user's posts when user is given; report still tallies every
     line."""
-    usage: dict[tuple[str, str], list[int]] = {}
+    usage: dict[tuple[str, int], tuple[int, int, int]] = {}
     state = _ScanState(lexicon, strict, user)
     for _, part in _map_chunks([source], _scan_usage_chunk, state, workers, report):
         for key, (n_posts, n_tokens, n_matched) in part.items():
-            cell = usage.setdefault(key, [0, 0, 0])
-            cell[0] += n_posts
-            cell[1] += n_tokens
-            cell[2] += n_matched
-    return {key: tuple(cell) for key, cell in usage.items()}
+            posts, tokens, matched = usage.get(key, (0, 0, 0))
+            usage[key] = (posts + n_posts, tokens + n_tokens, matched + n_matched)
+    # second week * 604800 starts the week's Thursday, which lies in the
+    # week's ISO year
+    labels = {week: iso_week(week * 604800) for week in {week for _, week in usage}}
+    return {(name, labels[week]): cell for (name, week), cell in usage.items()}
 
 
 def scan_annotations(

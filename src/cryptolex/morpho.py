@@ -227,30 +227,20 @@ def _match_form(form: str, lexicon: Lexicon) -> list[Parse]:
     """Every parse of form, best first, with no may-parse gate. No parse
     repeats: (inflection, dedoubled) fixes the strip_inflection candidate,
     the slices join to its base, and each form names one lexicon entry."""
+    # specificity class first, then the longest surviving base, then prefer
+    # suffix-headed analyses (the stem carries the characteristic, so
+    # "currycel" reads stem curry + suffix cel, not prefix curry + stem cel),
+    # then lexicographic slices for full determinism: a split holds at most
+    # one prefix, so equal slices and prefix flags mean equal roles.
     keyed: list[tuple[tuple, Parse]] = []
     for cand_index, (base, inflection, dedoubled) in enumerate(strip_inflection(form)):
         if base in lexicon.blocklist:
             continue
         for segments, rank in _splits(base, lexicon):
-            parse = Parse(form, segments, inflection, dedoubled, rank)
-            keyed.append((_sort_key(parse, cand_index), parse))
+            key = (rank, cand_index, segments[0].role == "prefix", tuple(s.slice for s in segments))
+            keyed.append((key, Parse(form, segments, inflection, dedoubled, rank)))
     keyed.sort(key=lambda kp: kp[0])
     return [parse for _, parse in keyed]
-
-
-def _sort_key(parse: Parse, cand_index: int) -> tuple:
-    # specificity class first, then the longest surviving base, then prefer
-    # suffix-headed analyses (the stem carries the characteristic, so
-    # "currycel" reads stem curry + suffix cel, not prefix curry + stem cel),
-    # then lexicographic slices and roles for full determinism.
-    prefixes = sum(1 for s in parse.segments if s.role == "prefix")
-    return (
-        parse.specificity,
-        cand_index,
-        prefixes,
-        tuple(s.slice for s in parse.segments),
-        tuple(s.role for s in parse.segments),
-    )
 
 
 def _peel(rest: str, kind: str, lexicon: Lexicon) -> Iterator[tuple[str, Segment | None]]:

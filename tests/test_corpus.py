@@ -498,8 +498,8 @@ class TestFoldUsage:
         return usage
 
     def test_week_labels_at_each_days_first_and_last_second(self, seed_lexicon):
-        # every day of 2020-W52 to 2021-W01 in one chunk: a week label
-        # memoized by any key but the UTC day, such as the epoch week
+        # every day of 2020-W52 to 2021-W01 in one chunk: a week number
+        # whose weeks start on any day but Monday, such as the epoch week
         # (created_utc // 604800, Thursday to Wednesday), mislabels a post
         times = [
             week_ts(year, week, day, hour=0) + second
@@ -509,6 +509,19 @@ class TestFoldUsage:
         ]
         usage = self.usage(seed_lexicon, ["cope"] * len(times), times)
         assert list(usage) == [("u1", "2020-W52"), ("u1", "2020-W53"), ("u1", "2021-W01")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("lines_per_chunk", [1, 3])
+    def test_week_number_at_the_epoch(self, seed_lexicon, workers, lines_per_chunk):
+        # 1970-01-01 was a Thursday, so the Monday of 1970-W01 falls before
+        # the epoch; then the last second of its Sunday and 1970-W02's first
+        times = [0, 345599, 345600]
+        posts = [Post(f"p{i}", "u1", "f", t, "wristcel cope") for i, t in enumerate(times)]
+        lines = "".join(jline(post._asdict()) + "\n" for post in posts)
+        with chunk_lines(lines_per_chunk):
+            usage = scan_usage(lines, seed_lexicon, workers=workers)
+        assert usage == reference_usage(posts, seed_lexicon)
+        assert list(usage) == [("u1", "1970-W01"), ("u1", "1970-W02")]
 
     def test_texts_of_one_cell_do_not_run_together(self, seed_lexicon):
         assert self.usage(seed_lexicon, ["ab", "cd"]) == {("u1", "2020-W01"): (2, 2, 0)}
@@ -785,7 +798,7 @@ post_texts = st.one_of(
 
 # a post's created_utc: the first or last second of a drawn day in ISO
 # weeks 2020-W52 to 2021-W01, across a year's end (2020 has 53 weeks). A
-# week label memoized by any key coarser than the UTC day, such as the epoch
+# week number whose weeks start on any day but Monday, such as the epoch
 # week (created_utc // 604800, from Thursday to Wednesday), mislabels some.
 post_times = st.builds(
     lambda week, day, second: week_ts(*week, day=day, hour=0) + second,
