@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import re
 from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexicon import AFFIX_KINDS, Lexicon, parse_json_line, read_lines
+from .lexicon import _SURROGATE, AFFIX_KINDS, Lexicon, parse_json_line, read_lines
 from .morpho import (
     _best_parses,
     annotate_text,
@@ -32,8 +31,6 @@ CHUNK_LINES = 5000
 # 9999-12-31T23:59:59Z, the last second iso_week can label
 MAX_CREATED_UTC = 253402300799
 _CREATED_RANGE = f"field 'created_utc' is out of range (0 to {MAX_CREATED_UTC})"
-# a surrogate code point: what a JSON \ud800 escape with no partner decodes to
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class PostFormatError(ValueError):
@@ -300,20 +297,30 @@ def week_index(label: str) -> int:
     return date.fromisocalendar(int(year), int(week), 1).toordinal() // 7
 
 
-def fold_usage(posts: Iterable[Post], lexicon: Lexicon, key: Callable[[Post], Hashable]) -> dict:
-    """Sum (posts, tokens, matched) per key(post), keys in order of first
-    post, counting through the lexicon's memo. Each key's texts are read as
-    one, joined by "\\n", exact for the reason _joined_texts gives. The join
-    is inline: a usage scan folds thousands of small keys per chunk, and a
-    _joined_texts call on each cost more than it saved."""
+def fold_usage(posts: Iterable[Post], lexicon: Lexicon) -> dict[tuple[str, int], tuple]:
+    """Sum (posts, tokens, matched) per (user, ISO week number), keys in
+    order of first post, counting through the lexicon's memo. Each key's
+    texts are read as one, joined by "\\n", exact for the reason
+    _joined_texts gives. The join is inline: a usage scan folds thousands
+    of small keys per chunk, and _joined_texts cost more than it saved."""
     texts = defaultdict(list)
     for post in posts:
-        texts[key(post)].append(post.text)
+        # ISO weeks run Monday to Sunday and 1970-01-01 was a Thursday, so
+        # this numbers each post's ISO week; label_weeks labels each number
+        texts[post.user, (post.created_utc + 3 * 86400) // 604800].append(post.text)
     usage = {}
     for cell, group in texts.items():
         tokens, matched = match_counts("\n".join(group), lexicon)
         usage[cell] = (len(group), tokens, matched)
     return usage
+
+
+def label_weeks(usage: dict[tuple[str, int], tuple]) -> dict[tuple[str, str], tuple]:
+    """fold_usage's cells, in order, keyed by (user, iso_week label)."""
+    # one label per distinct week: second week * 604800 starts the week's
+    # Thursday, which lies in the week's ISO year
+    labels = {week: iso_week(week * 604800) for week in {week for _, week in usage}}
+    return {(name, labels[week]): cell for (name, week), cell in usage.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -347,43 +354,39 @@ def _run_unless_stopped(chunk_fn, chunk):
     return None if _state.stop.is_set() else chunk_fn(chunk)
 
 
-def _chunk_posts(chunk: tuple[int, list[str | bytes]], report: ReadReport) -> list[Post]:
+def _chunk_posts(chunk: tuple[int, list[str | bytes]]) -> tuple[list[Post], ReadReport]:
     # parsed up front: interleaving parsing with annotation measured about
     # 7% slower for CLI annotate at 2 workers on a 2-core machine
     start, lines = chunk
-    return list(_parse_lines(enumerate(lines, start), _state.strict, report))
+    report = ReadReport()
+    return list(_parse_lines(enumerate(lines, start), _state.strict, report)), report
 
 
 def _scan_words_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
-    report = ReadReport()
-    return build_frequency_table(_chunk_posts(chunk, report)), report
+    posts, report = _chunk_posts(chunk)
+    return build_frequency_table(posts), report
 
 
 def _scan_affixes_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
-    report = ReadReport()
-    return _affix_table(_chunk_posts(chunk, report), _state.lexicon), report
+    posts, report = _chunk_posts(chunk)
+    return _affix_table(posts, _state.lexicon), report
 
 
 def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
-    report = ReadReport()
-    posts = _chunk_posts(chunk, report)
+    posts, report = _chunk_posts(chunk)
     if _state.user is not None:
         posts = [post for post in posts if post.user == _state.user]
-    # ISO weeks run Monday to Sunday and 1970-01-01 was a Thursday, so this
-    # numbers each post's ISO week; scan_usage labels each number once
-    return fold_usage(
-        posts, _state.lexicon, lambda post: (post.user, (post.created_utc + 3 * 86400) // 604800)
-    ), report
+    return fold_usage(posts, _state.lexicon), report
 
 
 def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
     # rendered in the worker, so the parent only writes text: unpickling and
     # rendering an Annotation per post kept the parent as busy as a worker.
     # perfbench/tracing.py wraps this name and the module's annotate_text.
-    report = ReadReport()
+    posts, report = _chunk_posts(chunk)
     lines = []
     tokens = matched = 0
-    for post in _chunk_posts(chunk, report):
+    for post in posts:
         ann = annotate_text(post.id, post.text, _state.lexicon)
         lines.append(annotation_json(ann) + "\n")
         tokens += ann.token_count
@@ -529,10 +532,7 @@ def scan_usage(
         for key, (n_posts, n_tokens, n_matched) in part.items():
             posts, tokens, matched = usage.get(key, (0, 0, 0))
             usage[key] = (posts + n_posts, tokens + n_tokens, matched + n_matched)
-    # second week * 604800 starts the week's Thursday, which lies in the
-    # week's ISO year
-    labels = {week: iso_week(week * 604800) for week in {week for _, week in usage}}
-    return {(name, labels[week]): cell for (name, week), cell in usage.items()}
+    return label_weeks(usage)
 
 
 def scan_annotations(

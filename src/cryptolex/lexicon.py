@@ -26,6 +26,8 @@ AFFIX_KINDS = ("prefix", "suffix")
 EXACT_KINDS = ("root", "standalone", "lexicalized_blend")
 CATEGORIES = ("dehumanizing", "racist", "misogynistic")
 
+# a surrogate code point: what a JSON \ud800 escape with no partner decodes to
+_SURROGATE = re.compile("[\ud800-\udfff]")
 # a letter three or more times running; token normalization collapses it to two
 LETTER_RUN3 = re.compile(r"([^\W\d_])\1\1+")
 # inflectional endings the segmenter strips from a token's end, longest first
@@ -206,11 +208,17 @@ def parse_entry(record: dict, line: int | None = None) -> LexiconEntry:
         raise LexiconFormatError("variants must be a list of strings", line)
     if not isinstance(record.get("productive", False), bool):
         raise LexiconFormatError("productive must be a boolean", line)
+    definition = record.get("definition", "")
+    if not isinstance(definition, str):
+        raise LexiconFormatError("definition must be a string", line)
+    # no output could encode it; surface and variants already fail isalnum
+    if not definition.isascii() and _SURROGATE.search(definition):
+        raise LexiconFormatError("field 'definition' holds a lone surrogate", line)
     try:
         return LexiconEntry(
             surface=record["surface"],
             kind=record["kind"],
-            definition=record.get("definition", ""),
+            definition=definition,
             categories=frozenset(categories),
             productive=record.get("productive", False),
             variants=tuple(variants),
@@ -294,8 +302,11 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
 def load_word_list(source: str | Path) -> frozenset[str]:
     """Read a blocklist or a stoplist: one word per line, '#' comments and
     blanks ignored, normalized as tokens are: lowercased, letter runs
-    collapsed to two."""
-    words = {normalize_token(line.split("#", 1)[0].strip())[0] for line in read_lines(source)}
+    collapsed to two. A leading UTF-8 signature (BOM) is ignored."""
+    lines = read_lines(source)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    words = {normalize_token(line.split("#", 1)[0].strip())[0] for line in lines}
     return frozenset(words - {""})
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import csv
 
-from .corpus import Post, fold_usage, iso_week, week_index
+from .corpus import Post, fold_usage, label_weeks, week_index
 from .lexicon import Lexicon
 
 
@@ -71,20 +71,13 @@ def usage_series(posts: Iterable[Post], lexicon: Lexicon, user: str | None = Non
     All posts must carry the same user id; pass user= to pin the expected
     id (required for an empty stream, where it cannot be inferred).
     """
-    series_user = user
-
-    def week_of_one_user(post: Post) -> str:
-        nonlocal series_user
-        if series_user is None:
-            series_user = post.user
-        elif post.user != series_user:
-            raise ValueError(
-                f"mixed user ids: expected {series_user!r}, got {post.user!r} (post {post.id})"
-            )
-        return iso_week(post.created_utc)
-
-    week_counts = fold_usage(posts, lexicon, week_of_one_user)
-    return series_from_counts(series_user or "", week_counts)
+    usage = label_weeks(fold_usage(posts, lexicon))
+    names = dict.fromkeys(name for name, _ in usage)  # in order of first post
+    series_user = next(iter(names), "") if user is None else user
+    other = next((name for name in names if name != series_user), None)
+    if other is not None:
+        raise ValueError(f"mixed user ids: expected {series_user!r}, got {other!r}")
+    return series_from_counts(series_user, {week: cell for (_, week), cell in usage.items()})
 
 
 def detect_gaps(series: UsageSeries, min_gap_weeks: int = 4) -> GapReport:

@@ -110,6 +110,21 @@ class TestLexiconCommand:
         assert main(["lexicon", "stats", "--lexicon", str(tmp_path / "gone.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["validate", "export"])
+    def test_unwritable_definition_fails_at_load(self, tmp_path, capsys, action):
+        # a lone surrogate, which no output can encode, fails the load: so
+        # validate fails, and export fails before it opens --output
+        lex = tmp_path / "lex.jsonl"
+        lex.write_text(
+            '{"surface": "cope", "kind": "root", "definition": "\\ud800"}\n', encoding="utf-8"
+        )
+        out = tmp_path / "out.tsv"
+        out.write_bytes(b"untouched")
+        argv = ["lexicon", action, "--lexicon", str(lex)]
+        assert main(argv + (["--output", str(out)] if action == "export" else [])) == 1
+        assert capsys.readouterr().err == "error: line 1: field 'definition' holds a lone surrogate\n"
+        assert out.read_bytes() == b"untouched"
+
     def test_validate_output_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out.txt"
         assert main(["lexicon", "validate", "--output", str(out)]) == 2
@@ -154,6 +169,16 @@ class TestAnnotateCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_blocklist_with_byte_order_mark_blocks_its_first_word(self, corpus, tmp_path, capsys):
+        outputs = []
+        for text in ("gymcel\n", "\ufeffgymcel\n"):
+            block = tmp_path / "block.txt"
+            block.write_bytes(text.encode("utf-8"))
+            assert main(["annotate", "--input", str(corpus), "--blocklist", str(block)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert '"term": "gymcel"' not in outputs[0].out
 
     def test_output_file_and_worker_independence(self, corpus, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -27,7 +27,9 @@ from cryptolex import (
     scan_frequency_table,
     scan_tables,
     scan_usage,
+    series_from_counts,
     tokenize,
+    usage_series,
     week_index,
 )
 from cryptolex import corpus
@@ -486,12 +488,12 @@ class TestFoldUsage:
 
     @staticmethod
     def usage(lexicon, texts, times=None) -> dict:
-        """fold_usage over one user's posts, keyed as the usage scan keys
-        them; it must equal reference_usage, and scan_usage over the same
-        posts as one chunk."""
+        """fold_usage over one user's posts, its weeks labelled by
+        label_weeks; it must equal reference_usage, and scan_usage over the
+        same posts as one chunk."""
         times = times or [week_ts(2020, 1)] * len(texts)
         posts = [Post(f"p{i}", "u1", "f", t, text) for i, (t, text) in enumerate(zip(times, texts))]
-        usage = corpus.fold_usage(posts, lexicon, lambda p: (p.user, iso_week(p.created_utc)))
+        usage = corpus.label_weeks(corpus.fold_usage(posts, lexicon))
         assert usage == reference_usage(posts, lexicon)
         lines = "".join(jline(post._asdict()) + "\n" for post in posts)
         assert scan_usage(lines, lexicon) == usage
@@ -806,6 +808,25 @@ post_times = st.builds(
     st.integers(1, 7),
     st.sampled_from([0, 86399]),
 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(post_times, post_texts), min_size=1, max_size=12))
+def test_usage_series_reads_the_cells_of_the_reference_and_the_scan(seed_lexicon, drawn):
+    """usage_series over one user's posts is the series of reference_usage's
+    cells, and of scan_usage's over the same lines at 1 and 2 workers."""
+    posts = [Post(f"p{i}", "u1", "f", t, text) for i, (t, text) in enumerate(drawn)]
+    series = usage_series(posts, seed_lexicon)
+
+    def series_of(usage):
+        return series_from_counts("u1", {week: cell for (_, week), cell in usage.items()})
+
+    assert series == series_of(reference_usage(posts, seed_lexicon))
+    lines = "".join(jline(post._asdict()) + "\n" for post in posts)
+    with chunk_lines(3):
+        for workers in (1, 2):
+            assert series == series_of(scan_usage(lines, seed_lexicon, workers=workers))
+
 
 # (kind, value, line end): LF and CRLF ends mix within one corpus
 scan_lines = st.lists(

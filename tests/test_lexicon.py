@@ -114,6 +114,21 @@ class TestLoading:
         with pytest.raises(LexiconFormatError):
             load_lexicon('["incel"]')
 
+    def test_lone_surrogate_in_definition_names_its_line(self):
+        # a JSON \ud800 escape with no partner: no output could encode it
+        text = '{"surface": "incel", "kind": "root"}\n' + json.dumps(
+            {"surface": "cope", "kind": "root", "definition": "a \ud800 b"}
+        )
+        with pytest.raises(LexiconFormatError) as exc:
+            load_lexicon(text)
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: field 'definition' holds a lone surrogate"
+
+    def test_non_string_definition_rejected(self):
+        text = json.dumps({"surface": "cope", "kind": "root", "definition": 5})
+        with pytest.raises(LexiconFormatError, match="line 1: definition must be a string"):
+            load_lexicon(text)
+
     # each collision is rejected with the same message whether the entries
     # come from JSON Lines or go straight into a Lexicon
     def test_duplicate_surface_across_entries_rejected(self):
@@ -181,6 +196,13 @@ class TestBlocklist:
         p = tmp_path / "block.txt"
         p.write_text("parcel\n", encoding="utf-8")
         assert load_word_list(p) == frozenset({"parcel"})
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # a list saved with a UTF-8 signature keeps its first word
+        path = tmp_path / "block.txt"
+        for text in ("gymcel\ncope\n", "\ufeffgymcel\ncope\n"):
+            path.write_bytes(text.encode("utf-8"))
+            assert load_word_list(text) == load_word_list(path) == frozenset({"gymcel", "cope"})
 
     def test_unicode_line_separator_is_not_a_line_break(self):
         assert load_word_list("cell\u2028mate\r\n") == frozenset({"cell\u2028mate"})

@@ -52,9 +52,12 @@ class TestSeries:
             ("2020-W03", 1, 2, 2),
         ]
 
-    def test_mixed_users_rejected(self, seed_lexicon):
-        posts = [post("a", "u1", 2020, 1, "x y"), post("b", "u2", 2020, 1, "x")]
-        with pytest.raises(ValueError, match="mixed user ids"):
+    # u2 in u1's week, and u2 first in a later week u1 never posted in
+    @pytest.mark.parametrize("weeks", [(1, 1), (1, 2, 5)])
+    def test_mixed_users_rejected(self, seed_lexicon, weeks):
+        posts = [post(f"p{i}", "u1", 2020, week, "x y") for i, week in enumerate(weeks[:-1])]
+        posts.append(post("last", "u2", 2020, weeks[-1], "x"))
+        with pytest.raises(ValueError, match="mixed user ids: expected 'u1', got 'u2'"):
             usage_series(posts, seed_lexicon)
 
     def test_pinned_user_checked(self, seed_lexicon):
