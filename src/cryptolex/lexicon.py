@@ -101,6 +101,16 @@ def normalize_token(raw: str) -> tuple[str, bool]:
     return collapsed, collapsed != lowered
 
 
+@dataclass(frozen=True)
+class Segment:
+    """One piece of a parse: its slice of the form, its role, and the entry
+    it names (None for a novel stem)."""
+
+    slice: str
+    role: str  # "prefix" | "stem" | "suffix"
+    entry: LexiconEntry | None
+
+
 def _index():
     # built from entries by Lexicon.__post_init__, so equality and repr skip it
     return field(init=False, repr=False, compare=False)
@@ -116,19 +126,21 @@ class Lexicon:
     decompose checks them, so "GYMCEL" and "gymcel" block alike and make
     equal lexicons. Every surface and variant names exactly one entry, so
     forms, the one lookup, maps each to its entry; a collision would make
-    it ambiguous, so it is an error rather than a warning. affix_lengths
-    holds the distinct lengths of each affix kind's forms, ascending, so
-    the segmenter finds affixes by one forms lookup per length. may_parse
-    is the segmenter's fast reject: a form it does not find cannot parse.
-    memo maps a lowercased word to its best parse under this lexicon, or
-    None; morpho._best_parses alone fills it, and it only memoizes, so it
-    never changes a result.
+    it ambiguous, so it is an error rather than a warning. affix_tables
+    holds, per affix kind, (length, {form: Segment}) pairs in ascending
+    length, one pair per distinct length of that kind's forms, so the
+    segmenter finds an affix by one dictionary lookup per length and
+    reuses its Segment. may_parse is the segmenter's fast reject: a form
+    it does not find cannot parse. memo maps a lowercased word to its best
+    parse under this lexicon, or None; morpho._best_parses alone fills it,
+    and clears it when a miss finds it holding morpho.MEMO_LIMIT words, so
+    it stays bounded. It only memoizes, so it never changes a result.
     """
 
     entries: tuple[LexiconEntry, ...]
     blocklist: frozenset[str] = frozenset()
     forms: dict[str, LexiconEntry] = _index()
-    affix_lengths: dict[str, tuple[int, ...]] = _index()
+    affix_tables: dict[str, tuple[tuple[int, dict[str, Segment]], ...]] = _index()
     may_parse: re.Pattern = _index()
     memo: dict = _index()
 
@@ -150,10 +162,7 @@ class Lexicon:
                     )
                 forms[v] = entry
         self.forms = forms
-        self.affix_lengths = {
-            kind: tuple(sorted({len(f) for f, e in forms.items() if e.kind == kind}))
-            for kind in AFFIX_KINDS
-        }
+        self.affix_tables = {kind: _affix_table(forms, kind) for kind in AFFIX_KINDS}
         self.may_parse = _may_parse_gate(
             [f for f, e in forms.items() if e.kind == "prefix"], list(forms)
         )
@@ -166,6 +175,16 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _affix_table(forms: dict[str, LexiconEntry], kind: str) -> tuple:
+    """(length, {form: Segment}) for each distinct length of kind's forms,
+    ascending."""
+    by_length: dict[int, dict[str, Segment]] = {}
+    for form, entry in forms.items():
+        if entry.kind == kind:
+            by_length.setdefault(len(form), {})[form] = Segment(form, kind, entry)
+    return tuple(sorted(by_length.items()))
 
 
 def _may_parse_gate(prefix_forms: list[str], entry_forms: list[str]) -> re.Pattern:

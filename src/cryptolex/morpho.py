@@ -10,18 +10,18 @@ stems under a productive affix last.
 from __future__ import annotations
 
 import re
-import sys
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from json.encoder import encode_basestring  # json.dumps' string encoder, ensure_ascii=False
 from operator import is_
 
-from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, LexiconEntry, normalize_token
+from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, Segment, normalize_token
 
 MIN_STEM = 3  # shortest novel stem accepted under a productive affix
 MIN_BASE = 3  # shortest base left behind by inflection stripping
+# words a best-parse memo holds at most: a miss that finds it full clears it
+MEMO_LIMIT = 16_384
 VOWELS = frozenset("aeiou")
 
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
@@ -46,13 +46,6 @@ class Token:
     start: int
     end: int
     elongated: bool
-
-
-@dataclass(frozen=True)
-class Segment:
-    slice: str
-    role: str  # "prefix" | "stem" | "suffix"
-    entry: LexiconEntry | None
 
 
 @dataclass(frozen=True)
@@ -243,48 +236,54 @@ def _match_form(form: str, lexicon: Lexicon) -> list[Parse]:
     return [parse for _, parse in keyed]
 
 
-def _peel(rest: str, kind: str, lexicon: Lexicon) -> Iterator[tuple[str, Segment | None]]:
-    """(what is left, affix) for no affix, then for each form of kind that
-    starts rest (a prefix) or ends it (a suffix) and leaves a character:
-    one lexicon.forms lookup per length of kind's forms."""
-    yield rest, None
-    for k in lexicon.affix_lengths[kind]:  # ascending
+def _peel(rest: str, table: tuple, prefix: bool) -> list[tuple[str, Segment | None]]:
+    """(what is left, affix) for no affix, then for each affix that starts
+    rest (when prefix) or ends it and leaves a character. table is one
+    kind's lexicon.affix_tables entry: one dictionary lookup per length."""
+    peeled = [(rest, None)]
+    for k, segments in table:  # ascending
         if k >= len(rest):
-            return
-        piece = rest[:k] if kind == "prefix" else rest[-k:]
-        entry = lexicon.forms.get(piece)
-        if entry is not None and entry.kind == kind:
-            # interned, so the memo's parses share one string per affix form
-            # rather than each holding a slice of its own
-            segment = Segment(sys.intern(piece), kind, entry)
-            yield (rest[k:] if kind == "prefix" else rest[:-k]), segment
+            break
+        segment = segments.get(rest[:k] if prefix else rest[-k:])
+        if segment is not None:
+            peeled.append((rest[k:] if prefix else rest[:-k], segment))
+    return peeled
 
 
-def _splits(base: str, lexicon: Lexicon) -> Iterator[tuple[tuple[Segment, ...], int]]:
+def _splits(base: str, lexicon: Lexicon) -> list[tuple[tuple[Segment, ...], int]]:
     """(segments, specificity) for each split of base into [prefix] stem
     [suffix] [suffix], the inner suffix only under an outer one: a bare
     entry (1 for EXACT_KINDS, else 2), an entry stem under affixes (2), or
     a novel stem of at least MIN_STEM under a productive affix (3)."""
-    for mid, prefix in _peel(base, "prefix", lexicon):
-        for rest, outer in _peel(mid, "suffix", lexicon):
-            for stem, inner in _peel(rest, "suffix", lexicon) if outer else [(rest, None)]:
-                affixes = [a for a in (prefix, inner, outer) if a]
-                entry = lexicon.forms.get(stem)
+    forms = lexicon.forms
+    suffixes = lexicon.affix_tables["suffix"]
+    splits = []
+    for mid, prefix in _peel(base, lexicon.affix_tables["prefix"], True):
+        for rest, outer in _peel(mid, suffixes, False):
+            for stem, inner in _peel(rest, suffixes, False) if outer else [(rest, None)]:
+                entry = forms.get(stem)
                 if entry is not None:
-                    rank = 2 if affixes or entry.kind not in EXACT_KINDS else 1
-                elif len(stem) >= MIN_STEM and any(a.entry.productive for a in affixes):
+                    rank = 2 if prefix or outer or entry.kind not in EXACT_KINDS else 1
+                elif len(stem) >= MIN_STEM and (
+                    (prefix and prefix.entry.productive)
+                    or (outer and outer.entry.productive)
+                    or (inner and inner.entry.productive)
+                ):
                     rank = 3
                 else:
                     continue
                 segments = (prefix, Segment(stem, "stem", entry), inner, outer)
-                yield tuple(filter(None, segments)), rank
+                splits.append((tuple(filter(None, segments)), rank))
+    return splits
 
 
 def _best_parses(text: str, lexicon: Lexicon) -> list[Parse | None]:
     """Each word's best parse in text order, None where nothing parses.
     The one reader and writer of lexicon.memo, which maps a lowercased word
     to its best parse; only a miss collapses the word, whose elongated flag
-    follows, and decomposes it."""
+    follows, and decomposes it. A miss that finds the memo holding
+    MEMO_LIMIT words clears it first, so a long tail of distinct words
+    costs re-parses, not memory."""
     memo = lexicon.memo
     words = _lowered_words(text)
     bests = list(map(memo.get, words, repeat(_MISS)))
@@ -294,7 +293,10 @@ def _best_parses(text: str, lexicon: Lexicon) -> list[Parse | None]:
         if best is _MISS:
             norm = _collapsed(word)
             parses = decompose(norm, lexicon, elongated=norm != word)
-            best = memo[word] = parses[0] if parses else None
+            best = parses[0] if parses else None
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[word] = best
         bests[i] = best
     return bests
 

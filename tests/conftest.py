@@ -17,6 +17,7 @@ from cryptolex import (
     decompose,
     iso_week,
     load_seed_lexicon,
+    morpho,
     tokenize,
 )
 from cryptolex.lexicon import AFFIX_KINDS, TSV_COLUMNS, read_lines
@@ -44,6 +45,13 @@ def chunk_lines(n: int):
     be consumed inside the context. A context manager, not a fixture, so
     that hypothesis tests can use it per example."""
     return mock.patch.object(corpus, "CHUNK_LINES", n)
+
+
+def memo_limit(n: int):
+    """A context in which a best-parse memo holds at most n words. A pool
+    started by fork inherits the limit; one started by spawn or forkserver
+    keeps the module's own."""
+    return mock.patch.object(morpho, "MEMO_LIMIT", n)
 
 
 def reference_annotation(text: str, lexicon: Lexicon, post_id: str = "p") -> Annotation:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import random
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -18,6 +20,7 @@ from cryptolex import (
     ReadReport,
     annotation_json,
     build_frequency_table,
+    decompose,
     iso_week,
     load_seed_lexicon,
     merge,
@@ -32,7 +35,7 @@ from cryptolex import (
     usage_series,
     week_index,
 )
-from cryptolex import corpus
+from cryptolex import corpus, morpho
 from cryptolex.corpus import MAX_CREATED_UTC
 from cryptolex.lexicon import parse_json_line
 
@@ -41,6 +44,7 @@ from conftest import (
     LONG_INTEGER_LINE,
     chunk_lines,
     make_post,
+    memo_limit,
     productive_affixes,
     reference_annotation,
     reference_usage,
@@ -976,3 +980,94 @@ def test_scan_invariant_to_source_workers_and_chunks(
                             scan(sources, seed_lexicon, strict=True, workers=workers)
                         assert err.value.line == first.bad[0], name
                         assert str(err.value) == str(first.strict_error), name
+
+
+# the scans whose chunks read each word's best parse through the memo
+MEMO_SCANS = ("affixes", "usage", "rendered")
+
+
+@settings(max_examples=20, deadline=None)
+@given(scan_lines, st.integers(1, 12), st.integers(1, 4))
+def test_scans_invariant_to_the_memo_limit(tmp_path_factory, seed_lexicon, items, limit, size):
+    """Each scan that reads the memo equals its reference under any memo
+    limit, at 1 and 2 workers. A fresh lexicon starts cold, so even the
+    first chunk meets the limit."""
+    target = Corpus(items, tmp_path_factory.mktemp("memo") / "posts.jsonl", seed_lexicon)
+    lexicon = Lexicon(seed_lexicon.entries, seed_lexicon.blocklist)
+    with memo_limit(limit), chunk_lines(size):
+        for workers in (1, 2):
+            for name in MEMO_SCANS:
+                result = SCANS[name](target.path, lexicon, workers=workers)
+                assert result == target.expected[name], (name, workers)
+    assert len(lexicon.memo) <= limit
+
+
+def test_memo_stays_within_its_limit(monkeypatch, seed_lexicon):
+    """An in-process scan over more distinct words than MEMO_LIMIT: at
+    every miss and at the end the memo holds at most MEMO_LIMIT words, and
+    every word still parses as it would without the limit."""
+    n = morpho.MEMO_LIMIT + 1000
+    lexicon = Lexicon(seed_lexicon.entries, seed_lexicon.blocklist)
+    sizes = []
+
+    def spy(normalized, lex, *, elongated=False):
+        sizes.append(len(lex.memo))
+        return decompose(normalized, lex, elongated=elongated)
+
+    monkeypatch.setattr(morpho, "decompose", spy)
+    # a novel stem under the productive suffix "cel", and a word that never parses
+    lines = "".join(
+        jline({**GOOD, "id": f"p{i}", "text": f"stem{i}cel word{i}"}) + "\n" for i in range(n)
+    )
+    (table,) = scan_tables([lines], lexicon)
+    assert table.counts == {"cel": n}
+    assert len(sizes) == 2 * n
+    assert max(sizes) <= morpho.MEMO_LIMIT
+    assert 0 < len(lexicon.memo) <= morpho.MEMO_LIMIT
+
+
+# The largest peak resident set of the pool workers of an affix scan over
+# the corpus, less that of the workers of a one-post scan, in KiB. Each pool
+# starts by fork, so its workers are this process's children, which
+# RUSAGE_CHILDREN reads (a forkserver's workers are not). RUSAGE_SELF cannot
+# be the baseline: a process keeps the peak it reached before exec, here a
+# copy of the test runner.
+WORKER_GROWTH_SCRIPT = """
+import json, multiprocessing, resource, sys
+from pathlib import Path
+multiprocessing.set_start_method("fork", force=True)
+sys.path.insert(0, "src")
+from cryptolex import load_seed_lexicon, scan_tables
+lexicon = load_seed_lexicon()
+post = {"id": "p", "user": "u", "forum": "f", "created_utc": 0, "text": "wristcel"}
+scan_tables([json.dumps(post)], lexicon, workers=2)
+one_post = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+(table,) = scan_tables([Path(sys.argv[1])], lexicon, workers=2)
+assert table.doc_count == int(sys.argv[2]), table.doc_count
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss - one_post)
+"""
+
+
+def test_worker_memory_stays_bounded(tmp_path):
+    """Each worker's memo is capped, so a worker's memory does not grow
+    with the number of distinct words it meets. 40,000 posts of 15 random
+    words give each worker about 300,000 distinct words. On Python 3.11,
+    the largest worker grew about 14 MiB with the cap and 34 MiB without
+    it."""
+    rng = random.Random(20261020)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    n_posts = 40_000
+    path = tmp_path / "posts.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n_posts):
+            words = ("".join(rng.choices(letters, k=rng.randint(6, 10))) for _ in range(15))
+            fh.write(jline({**GOOD, "id": f"p{i}", "text": " ".join(words)}) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_GROWTH_SCRIPT, str(path), str(n_posts)],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    grown_mib = int(done.stdout) / 1024
+    assert grown_mib < 22, f"a worker's peak grew {grown_mib:.1f} MiB"

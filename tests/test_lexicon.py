@@ -12,6 +12,7 @@ from cryptolex import (
     Lexicon,
     LexiconEntry,
     LexiconFormatError,
+    Segment,
     annotate_text,
     category_stats,
     export_tsv,
@@ -20,7 +21,7 @@ from cryptolex import (
     normalize_token,
     validate,
 )
-from cryptolex.lexicon import _tsv_safe, read_lines
+from cryptolex.lexicon import AFFIX_KINDS, _tsv_safe, read_lines
 
 from conftest import BEYOND_JSON_PARSER, assert_tsv_rows, definitions, lexicon_jsonl, tsv_rows
 
@@ -321,13 +322,46 @@ class TestSerialization:
 
     def test_pickle_leaves_the_memo_behind(self, seed_lexicon):
         # a worker started by spawn or forkserver receives its lexicon
-        # pickled, and should not receive the parent's whole memo with it
+        # pickled, and should not receive the parent's whole memo with it;
+        # it rebuilds its affix tables from the entries
         lexicon = Lexicon(seed_lexicon.entries, seed_lexicon.blocklist)
         assert annotate_text("p", "a wristcel lurks sooo", lexicon).matched_count == 1
         assert lexicon.memo
         copy = pickle.loads(pickle.dumps(lexicon))
         assert copy == lexicon
         assert copy.memo == {}
+        assert copy.affix_tables == lexicon.affix_tables
+        assert copy.affix_tables["suffix"] and copy.affix_tables["prefix"]
+
+
+class TestAffixTables:
+    def test_one_table_per_affix_kind(self):
+        # per kind, (length, {form: Segment}) in ascending length; a root's
+        # forms are in neither table
+        lex = Lexicon(
+            [
+                entry("cel", kind="suffix", variants=("cell", "maxx")),
+                entry("chad", kind="prefix", variants=("chadd",)),
+                entry("curry", kind="prefix"),
+                entry("incel", variants=("inc",)),
+            ]
+        )
+        tables = {kind: [(k, sorted(t)) for k, t in lex.affix_tables[kind]] for kind in AFFIX_KINDS}
+        assert tables == {
+            "prefix": [(4, ["chad"]), (5, ["chadd", "curry"])],
+            "suffix": [(3, ["cel"]), (4, ["cell", "maxx"])],
+        }
+        for kind in AFFIX_KINDS:
+            for _, segments in lex.affix_tables[kind]:
+                for form, segment in segments.items():
+                    assert segment == Segment(form, kind, lex.forms[form])
+
+    def test_tables_are_outside_equality_and_repr(self):
+        lex = Lexicon([entry("cel", kind="suffix")])
+        assert "affix_tables" not in repr(lex)
+        other = Lexicon([entry("cel", kind="suffix")])
+        other.affix_tables = {"prefix": (), "suffix": ()}
+        assert other == lex
 
 
 @given(

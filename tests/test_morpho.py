@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import re
 import string
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from cryptolex import (
     normalize_token,
     normalized_words,
     reconstruct,
+    scan_tables,
     strip_inflection,
     tokenize,
 )
@@ -27,7 +29,7 @@ from cryptolex import morpho
 from cryptolex.lexicon import AFFIX_KINDS, EXACT_KINDS, INFLECTIONS, LETTER_RUN3
 from cryptolex.morpho import _WORD, MIN_STEM, Parse, Segment, annotation_json, match_counts
 
-from conftest import reference_annotation
+from conftest import memo_limit, productive_affixes, reference_annotation
 
 
 class TestNormalize:
@@ -417,6 +419,49 @@ class TestMatchCounts:
         assert (ann.token_count, ann.matched_count) == (3, 1)
 
 
+class TestMemoLimit:
+    """A memo that finds itself full at a miss is cleared: the limit only
+    trades re-parses for memory, so it never changes a result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.lists(st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text), max_size=6),
+    )
+    def test_limit_never_changes_a_result(self, seed_lexicon, limit, texts):
+        lexicon = cold(seed_lexicon)
+        with memo_limit(limit):
+            for text in texts:
+                expected = reference_annotation(text, lexicon)
+                assert annotate_text("p", text, lexicon) == expected
+                assert match_counts(text, lexicon) == (expected.token_count, expected.matched_count)
+                assert len(lexicon.memo) <= limit
+            # the affix scan of the texts as posts, in process, from a cold memo
+            lexicon = cold(seed_lexicon)
+            post = {"id": "p", "user": "u", "forum": "f", "created_utc": 0}
+            (table,) = scan_tables([[json.dumps({**post, "text": t}) for t in texts]], lexicon)
+            assert len(lexicon.memo) <= limit
+        affixes = Counter(a for text in texts for a in productive_affixes(text, seed_lexicon))
+        assert (table.counts, table.doc_count) == (affixes, len(texts))
+
+    def test_clears_within_one_text(self, monkeypatch):
+        # at a limit of one word each miss clears the memo, so the second
+        # "wristcel" is parsed again, after "sooo" took its place
+        calls = []
+
+        def spy(normalized, lexicon, *, elongated=False):
+            calls.append(normalized)
+            return decompose(normalized, lexicon, elongated=elongated)
+
+        monkeypatch.setattr(morpho, "decompose", spy)
+        lexicon = load_seed_lexicon()
+        with memo_limit(1):
+            ann = annotate_text("p", "wristcel sooo wristcel", lexicon)
+        assert calls == ["wristcel", "soo", "wristcel"]
+        assert list(lexicon.memo) == ["wristcel"]
+        assert ann == reference_annotation("wristcel sooo wristcel", lexicon)
+
+
 def reference_annotation_json(ann):
     """annotation_json as a dict tree through json.dumps: the reference the
     renderer's per-parse span_json must equal byte for byte."""
@@ -668,8 +713,9 @@ def assert_segmenter_matches_reference(form, lexicon):
 
 
 class TestReferenceSegmenter:
-    """_match_form peels affixes by one lexicon.forms lookup per affix
-    length; it must equal the brute-force reference that tries every cut."""
+    """_match_form peels affixes by one lexicon.affix_tables lookup per
+    affix length; it must equal the brute-force reference that tries every
+    cut."""
 
     @settings(max_examples=500, deadline=None)
     @given(st.data())
