@@ -343,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: a pooled scan has already stopped its pool
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import signal
 from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -17,14 +18,8 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexicon import _SURROGATE, AFFIX_KINDS, Lexicon, parse_json_line, read_lines
-from .morpho import (
-    _best_parses,
-    annotate_text,
-    annotation_json,
-    match_counts,
-    normalized_words,
-)
+from .lexicon import _SURROGATE, Lexicon, LineError, parse_json_line, read_lines
+from .morpho import _best_parses, annotate_text, annotation_json, normalized_words
 
 # lines per chunk; no result depends on it, and tests patch it to vary it
 CHUNK_LINES = 5000
@@ -33,12 +28,8 @@ MAX_CREATED_UTC = 253402300799
 _CREATED_RANGE = f"field 'created_utc' is out of range (0 to {MAX_CREATED_UTC})"
 
 
-class PostFormatError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class PostFormatError(LineError):
+    """Raised for a malformed line of a post archive."""
 
 
 class Post(NamedTuple):
@@ -244,15 +235,13 @@ def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
 
 
 def _joined_texts(texts: list[str]) -> list[str]:
-    """texts as at most two texts: the ASCII ones joined by "\\n", then the
-    others joined by "\\n", so one non-ASCII text does not send every other
-    past the reader's ASCII byte table. Reading these gives the words of
-    each text read alone: no word or letter run spans a "\\n", and the
-    reader lowers a text holding İ or Σ word by word. Only the words' order
-    changes, and no count depends on it."""
+    """texts as two texts, either perhaps empty (no words): the ASCII ones
+    joined by "\\n", then the others, so one non-ASCII text does not send
+    every other past the reader's ASCII byte table. Reading these gives the
+    words of each text read alone: no word or letter run spans a "\\n", and
+    the reader lowers a text holding İ or Σ word by word. Only the words'
+    order changes, and no count depends on it."""
     ascii_texts = [text for text in texts if text.isascii()]
-    if len(ascii_texts) == len(texts):
-        return ["\n".join(texts)]
     return ["\n".join(ascii_texts), "\n".join(text for text in texts if not text.isascii())]
 
 
@@ -266,9 +255,9 @@ def build_frequency_table(posts: Iterable[Post]) -> FrequencyTable:
     return FrequencyTable(dict(counts), total_tokens=counts.total(), doc_count=len(texts))
 
 
-def _affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
-    # An affix occurrence is any productive prefix/suffix entry referenced
-    # by the token's best parse, keyed by canonical surface so variant
+def _affix_counts(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
+    # An affix occurrence is any productive entry (only affixes may be) in
+    # the token's best parse, keyed by canonical surface so variant
     # spellings ("mogg") count toward their entry ("mog"). Counted from the
     # best parses alone: no Span or category set per match.
     texts = [post.text for post in posts]
@@ -278,7 +267,7 @@ def _affix_table(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
         for best in _best_parses(text, lexicon)
         if best is not None
         for seg in best.segments
-        if seg.entry is not None and seg.entry.productive and seg.entry.kind in AFFIX_KINDS
+        if seg.entry is not None and seg.entry.productive
     )
     return FrequencyTable(dict(counts), total_tokens=counts.total(), doc_count=len(texts))
 
@@ -299,10 +288,11 @@ def week_index(label: str) -> int:
 
 def fold_usage(posts: Iterable[Post], lexicon: Lexicon) -> dict[tuple[str, int], tuple]:
     """Sum (posts, tokens, matched) per (user, ISO week number), keys in
-    order of first post, counting through the lexicon's memo. Each key's
-    texts are read as one, joined by "\\n", exact for the reason
-    _joined_texts gives. The join is inline: a usage scan folds thousands
-    of small keys per chunk, and _joined_texts cost more than it saved."""
+    order of first post, from the best parses in the lexicon's memo, with
+    no Span per match. Each key's texts are read as one, joined by "\\n",
+    exact for the reason _joined_texts gives. The join is inline: a usage
+    scan folds thousands of small keys per chunk, and _joined_texts cost
+    more than it saved."""
     texts = defaultdict(list)
     for post in posts:
         # ISO weeks run Monday to Sunday and 1970-01-01 was a Thursday, so
@@ -310,8 +300,8 @@ def fold_usage(posts: Iterable[Post], lexicon: Lexicon) -> dict[tuple[str, int],
         texts[post.user, (post.created_utc + 3 * 86400) // 604800].append(post.text)
     usage = {}
     for cell, group in texts.items():
-        tokens, matched = match_counts("\n".join(group), lexicon)
-        usage[cell] = (len(group), tokens, matched)
+        bests = _best_parses("\n".join(group), lexicon)
+        usage[cell] = (len(group), len(bests), len(list(filter(None, bests))))
     return usage
 
 
@@ -343,7 +333,10 @@ class _ScanState:
 _state: _ScanState | None = None
 
 
-def _init_worker(state: _ScanState | None) -> None:
+def _init_worker(state: _ScanState) -> None:
+    # Ctrl-C signals the whole process group; the parent alone handles it,
+    # stopping the pool, so a worker neither dies of it nor prints a traceback
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _state
     _state = state
 
@@ -369,7 +362,7 @@ def _scan_words_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
 
 def _scan_affixes_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
     posts, report = _chunk_posts(chunk)
-    return _affix_table(posts, _state.lexicon), report
+    return _affix_counts(posts, _state.lexicon), report
 
 
 def _scan_usage_chunk(chunk) -> tuple[dict, ReadReport]:
@@ -414,17 +407,17 @@ def _run_chunks(
 ) -> Iterator[tuple[int, tuple]]:
     """Run chunk_fn over (tag, chunk) pairs, yielding (tag, its result) in
     input order; the tag stays in this process."""
+    global _state
     if workers <= 1:
-        try:
-            for tag, chunk in chunks:
-                # rebound per chunk: another scan in this process may have
-                # run since, and its state must not leak into this one
-                _init_worker(state)
-                yield tag, chunk_fn(chunk)
-        finally:
-            # the scan's state goes with it, unless another scan has bound its own since
-            if _state is state:
-                _init_worker(None)
+        for tag, chunk in chunks:
+            # bound only while chunk_fn runs: between chunks this scan may be
+            # suspended while another scan in this process binds its own
+            _state = state
+            try:
+                result = chunk_fn(chunk)
+            finally:
+                _state = None
+            yield tag, result
         return
     state = replace(state, stop=multiprocessing.Event())
     with ProcessPoolExecutor(

@@ -15,15 +15,13 @@ from __future__ import annotations
 import json
 import json.scanner
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 KINDS = ("root", "prefix", "suffix", "lexicalized_blend", "standalone")
 AFFIX_KINDS = ("prefix", "suffix")
-# Kinds whose exact surface match counts as a first-rank parse.
-EXACT_KINDS = ("root", "standalone", "lexicalized_blend")
 CATEGORIES = ("dehumanizing", "racist", "misogynistic")
 
 # a surrogate code point: what a JSON \ud800 escape with no partner decodes to
@@ -35,14 +33,19 @@ LETTER_RUN3 = re.compile(r"([^\W\d_])\1\1+")
 INFLECTIONS = ("ing", "ed", "es", "s")
 
 
-class LexiconFormatError(ValueError):
-    """Raised for unreadable or invariant-breaking lexicon data."""
+class LineError(ValueError):
+    """An error in a line of input: a given 1-based line number starts the
+    message and is kept as .line, which survives pickling (from a worker)."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class LexiconFormatError(LineError):
+    """Raised for unreadable or invariant-breaking lexicon data."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def _may_parse_gate(prefix_forms: list[str], entry_forms: list[str]) -> re.Patte
     return re.compile("|".join(branches) or "(?!)", re.DOTALL)
 
 
-_ENTRY_KEYS = {"surface", "kind", "definition", "categories", "productive", "variants", "source"}
+_ENTRY_KEYS = {f.name for f in fields(LexiconEntry)}
 
 
 def parse_entry(record: dict, line: int | None = None) -> LexiconEntry:
@@ -284,17 +287,6 @@ def parse_json_line(text: str, line: int | None, error: type[ValueError]):
     raise error(f"invalid JSON ({message})", line)
 
 
-def parse_lexicon_lines(lines: Iterable[str]) -> list[LexiconEntry]:
-    """Parse JSON Lines text into entries, reporting 1-based line numbers."""
-    entries = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        entries.append(parse_entry(parse_json_line(text, lineno, LexiconFormatError), lineno))
-    return entries
-
-
 def read_lines(source: str | Path) -> list[str]:
     """The lines of a text (str) or of a UTF-8 file (Path), split on "\\n"
     only: one trailing "\\r" per line is dropped, so LF and CRLF files read
@@ -315,7 +307,13 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
     Entry order in the file is preserved. The lexicon normalizes the
     optional blocklist's words; see load_word_list for the file format.
     """
-    return Lexicon(parse_lexicon_lines(read_lines(source)), blocklist)
+    entries = []
+    for lineno, raw in enumerate(read_lines(source), start=1):
+        text = raw.strip()
+        if text:
+            record = parse_json_line(text, lineno, LexiconFormatError)
+            entries.append(parse_entry(record, lineno))
+    return Lexicon(entries, blocklist)
 
 
 def load_word_list(source: str | Path) -> frozenset[str]:
@@ -366,7 +364,7 @@ def validate(lexicon: Lexicon) -> list[Issue]:
     for entry in lexicon.entries:
         if not entry.categories:
             issues.append(Issue("warning", "no category codes", entry.surface))
-        if entry.kind in AFFIX_KINDS and entry.productive and not entry.definition:
+        if entry.productive and not entry.definition:
             issues.append(Issue("warning", "productive affix without a definition", entry.surface))
     for word in sorted(lexicon.blocklist & {entry.surface for entry in lexicon.entries}):
         issues.append(Issue("error", f"blocklist word {word!r} is also an entry surface", word))

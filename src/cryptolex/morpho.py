@@ -16,7 +16,7 @@ from itertools import compress, repeat
 from json.encoder import encode_basestring  # json.dumps' string encoder, ensure_ascii=False
 from operator import is_
 
-from .lexicon import EXACT_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, Segment, normalize_token
+from .lexicon import AFFIX_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, Segment, normalize_token
 
 MIN_STEM = 3  # shortest novel stem accepted under a productive affix
 MIN_BASE = 3  # shortest base left behind by inflection stripping
@@ -185,14 +185,6 @@ def strip_inflection(normalized: str) -> list[tuple[str, str, bool]]:
     return sorted(candidates, key=lambda c: -len(c[0]))
 
 
-def reconstruct(parse: Parse) -> str:
-    """Reassemble a parse; equals parse.token for every emitted parse."""
-    body = "".join(seg.slice for seg in parse.segments)
-    if parse.dedoubled:
-        body += body[-1]
-    return body + parse.inflection
-
-
 def decompose(normalized: str, lexicon: Lexicon, *, elongated: bool = False) -> list[Parse]:
     """All parses of a normalized token, best first.
 
@@ -253,8 +245,9 @@ def _peel(rest: str, table: tuple, prefix: bool) -> list[tuple[str, Segment | No
 def _splits(base: str, lexicon: Lexicon) -> list[tuple[tuple[Segment, ...], int]]:
     """(segments, specificity) for each split of base into [prefix] stem
     [suffix] [suffix], the inner suffix only under an outer one: a bare
-    entry (1 for EXACT_KINDS, else 2), an entry stem under affixes (2), or
-    a novel stem of at least MIN_STEM under a productive affix (3)."""
+    entry (2 when its kind is in AFFIX_KINDS, else 1), an entry stem under
+    affixes (2), or a novel stem of at least MIN_STEM under a productive
+    affix (3)."""
     forms = lexicon.forms
     suffixes = lexicon.affix_tables["suffix"]
     splits = []
@@ -263,7 +256,7 @@ def _splits(base: str, lexicon: Lexicon) -> list[tuple[tuple[Segment, ...], int]
             for stem, inner in _peel(rest, suffixes, False) if outer else [(rest, None)]:
                 entry = forms.get(stem)
                 if entry is not None:
-                    rank = 2 if prefix or outer or entry.kind not in EXACT_KINDS else 1
+                    rank = 2 if prefix or outer or entry.kind in AFFIX_KINDS else 1
                 elif len(stem) >= MIN_STEM and (
                     (prefix and prefix.entry.productive)
                     or (outer and outer.entry.productive)
@@ -310,13 +303,6 @@ def annotate_text(post_id: str, text: str, lexicon: Lexicon) -> Annotation:
         Span(m.start(), m.end(), m.group(), best.categories, best) for m, best in zip(matches, found)
     )
     return Annotation(post_id, spans, len(bests), len(spans))
-
-
-def match_counts(text: str, lexicon: Lexicon) -> tuple[int, int]:
-    """The counting view of annotate_text: (token_count, matched_count),
-    without a Span per match, through the same memo."""
-    bests = _best_parses(text, lexicon)
-    return len(bests), len(list(filter(None, bests)))
 
 
 def annotation_json(ann: Annotation) -> str:

@@ -65,19 +65,16 @@ def series_from_counts(user: str, week_counts: dict[str, tuple[int, int, int]]) 
     return UsageSeries(user=user, buckets=tuple(buckets))
 
 
-def usage_series(posts: Iterable[Post], lexicon: Lexicon, user: str | None = None) -> UsageSeries:
-    """Weekly usage buckets for a single user's posts.
-
-    All posts must carry the same user id; pass user= to pin the expected
-    id (required for an empty stream, where it cannot be inferred).
+def usage_series(posts: Iterable[Post], lexicon: Lexicon) -> UsageSeries:
+    """Weekly usage buckets for a single user's posts, which must all carry
+    the same user id. An empty stream gives an empty series, user "".
     """
     usage = label_weeks(fold_usage(posts, lexicon))
-    names = dict.fromkeys(name for name, _ in usage)  # in order of first post
-    series_user = next(iter(names), "") if user is None else user
-    other = next((name for name in names if name != series_user), None)
-    if other is not None:
-        raise ValueError(f"mixed user ids: expected {series_user!r}, got {other!r}")
-    return series_from_counts(series_user, {week: cell for (_, week), cell in usage.items()})
+    names = list(dict.fromkeys(name for name, _ in usage))  # in order of first post
+    if len(names) > 1:
+        raise ValueError(f"mixed user ids: expected {names[0]!r}, got {names[1]!r}")
+    user = names[0] if names else ""
+    return series_from_counts(user, {week: cell for (_, week), cell in usage.items()})
 
 
 def detect_gaps(series: UsageSeries, min_gap_weeks: int = 4) -> GapReport:

@@ -21,7 +21,7 @@ from cryptolex import (
     tokenize,
 )
 from cryptolex.lexicon import AFFIX_KINDS, TSV_COLUMNS, read_lines
-from cryptolex.morpho import Annotation, Span
+from cryptolex.morpho import Annotation, Parse, Span
 
 # definitions mixing in every character str.splitlines breaks a line on
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -68,6 +68,15 @@ def reference_annotation(text: str, lexicon: Lexicon, post_id: str = "p") -> Ann
             )
             spans.append(Span(tok.start, tok.end, tok.raw, categories, best))
     return Annotation(post_id, tuple(spans), len(tokens), len(spans))
+
+
+def reconstruct(parse: Parse) -> str:
+    """Reassemble a parse from its segments, inflection and dedoubling;
+    equals parse.token for every parse decompose emits."""
+    body = "".join(seg.slice for seg in parse.segments)
+    if parse.dedoubled:
+        body += body[-1]
+    return body + parse.inflection
 
 
 def productive_affixes(text: str, lexicon: Lexicon) -> list[str]:

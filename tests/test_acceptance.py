@@ -24,14 +24,13 @@ from cryptolex import (
     detect_gaps,
     log_ratio_rank,
     normalize_token,
-    reconstruct,
     scan_frequency_table,
     tokenize,
     usage_series,
 )
 from cryptolex.corpus import FrequencyTable, read_posts
 
-from conftest import make_post, week_ts, write_jsonl
+from conftest import make_post, reconstruct, week_ts, write_jsonl
 
 
 @contextlib.contextmanager

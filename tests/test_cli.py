@@ -5,7 +5,15 @@ import csv
 import io
 import json
 import os
+import random
+import signal
+import string
+import subprocess
+import sys
+import threading
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -831,3 +839,73 @@ def test_cli_output_does_not_depend_on_workers(tmp_path_factory, items, backgrou
                     assert one[0] == 1, mode
                 else:
                     assert one == references[name], (name, mode)
+
+
+# The CLI in a child process, reading its input in chunks of one line; run
+# with -u, so each chunk's output reaches the pipe as it is written.
+INTERRUPT_SCRIPT = (
+    "import sys; from cryptolex import cli, corpus; corpus.CHUNK_LINES = 1; "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("busy", [False, True], ids=["waiting-for-input", "holding-a-chunk"])
+def test_ctrl_c_ends_with_one_line(tmp_path, workers, busy):
+    """Ctrl-C signals the whole process group: the CLI and any pool
+    workers. The CLI reads a FIFO that stays open, and is interrupted once
+    its first output line is out: while it waits for more input, or while a
+    long post of novel coinages is being annotated (in process at one
+    worker, by a worker at two). It exits 130 with the one stderr line
+    "interrupted", and leaves no process behind."""
+    fifo = tmp_path / "posts.jsonl"
+    os.mkfifo(fifo)
+    root = Path(__file__).resolve().parents[1]
+    # src last: a sitecustomize.py already on PYTHONPATH still runs first
+    path = [p for p in (os.environ.get("PYTHONPATH"), str(root / "src")) if p]
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-c", INTERRUPT_SCRIPT, "annotate", "--input", str(fifo),
+         "--workers", str(workers)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        start_new_session=True,
+    )
+    # a child that hangs before its first line is killed, failing the test
+    watchdog = threading.Timer(60, os.killpg, (child.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        # read-write, so opening does not wait for the child to open it
+        with open(os.open(fifo, os.O_RDWR), "w", encoding="utf-8") as feed:
+            # a pool yields its first result once 2 x workers chunks are in flight
+            for i in range(2 * workers):
+                feed.write(json.dumps(make_post(f"p{i}", "u", week_ts(2020, 1), "a wristcel")) + "\n")
+            feed.flush()
+            assert child.stdout.readline().startswith('{"id": "p0"')
+            if busy:
+                # about a second of cold parses, each word a miss
+                rng = random.Random(0)
+                text = " ".join(
+                    "".join(rng.choices(string.ascii_lowercase, k=8)) + "cel" for _ in range(40_000)
+                )
+                feed.write(json.dumps(make_post("long", "u", week_ts(2020, 1), text)) + "\n")
+                feed.flush()
+                time.sleep(0.3)
+            os.killpg(child.pid, signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+    finally:
+        watchdog.cancel()
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert (child.returncode, err) == (130, "interrupted\n")
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(child.pid, 0)  # a process left in the child's group
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process outlived the CLI"
+        time.sleep(0.05)

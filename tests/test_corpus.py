@@ -670,18 +670,22 @@ class TestShardedScans:
             assert corpus._state is None
             annotations = scan_annotations(text, seed_lexicon)
             assert rendered_ids([next(annotations)]) == ["p1"]
+            # suspended between chunks, the scan holds no state bound
+            assert corpus._state is None
+            assert rendered_ids([next(annotations)]) == ["p2"]
+            assert corpus._state is None
             annotations.close()
             assert corpus._state is None
 
     def test_user_scan_counts_only_that_users_posts(self, seed_lexicon, monkeypatch):
         counted = []
-        match_counts = corpus.match_counts
+        best_parses = corpus._best_parses
 
         def spy(text, lexicon):
             counted.append(text)
-            return match_counts(text, lexicon)
+            return best_parses(text, lexicon)
 
-        monkeypatch.setattr(corpus, "match_counts", spy)
+        monkeypatch.setattr(corpus, "_best_parses", spy)
         text = "".join(
             jline(record) + "\n"
             for record in (

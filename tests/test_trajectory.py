@@ -60,13 +60,8 @@ class TestSeries:
         with pytest.raises(ValueError, match="mixed user ids: expected 'u1', got 'u2'"):
             usage_series(posts, seed_lexicon)
 
-    def test_pinned_user_checked(self, seed_lexicon):
-        with pytest.raises(ValueError, match="expected 'zoe'"):
-            usage_series([post("a", "u1", 2020, 1, "x")], seed_lexicon, user="zoe")
-
-    def test_empty_stream_needs_pin(self, seed_lexicon):
-        series = usage_series([], seed_lexicon, user="zoe")
-        assert series == UsageSeries(user="zoe", buckets=())
+    def test_empty_stream(self, seed_lexicon):
+        assert usage_series([], seed_lexicon) == UsageSeries(user="", buckets=())
 
 
 def weeks(table):
