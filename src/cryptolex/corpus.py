@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lexicon import _SURROGATE, Lexicon, LineError, parse_json_line, read_lines
-from .morpho import _best_parses, annotate_text, annotation_json, normalized_words
+from .morpho import _best_parses, _lowered_words, annotate_text, annotation_json, normalized_words
 
 # lines per chunk; no result depends on it, and tests patch it to vary it
 CHUNK_LINES = 5000
@@ -264,7 +264,7 @@ def _affix_counts(posts: Iterable[Post], lexicon: Lexicon) -> FrequencyTable:
     counts = Counter(
         seg.entry.surface
         for text in _joined_texts(texts)
-        for best in _best_parses(text, lexicon)
+        for best in _best_parses(_lowered_words(text)[2], lexicon)
         if best is not None
         for seg in best.segments
         if seg.entry is not None and seg.entry.productive
@@ -300,7 +300,7 @@ def fold_usage(posts: Iterable[Post], lexicon: Lexicon) -> dict[tuple[str, int],
         texts[post.user, (post.created_utc + 3 * 86400) // 604800].append(post.text)
     usage = {}
     for cell, group in texts.items():
-        bests = _best_parses("\n".join(group), lexicon)
+        bests = _best_parses(_lowered_words("\n".join(group))[2], lexicon)
         usage[cell] = (len(group), len(bests), len(list(filter(None, bests))))
     return usage
 

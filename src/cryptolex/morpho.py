@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from json.encoder import encode_basestring  # json.dumps' string encoder, ensure_ascii=False
 from operator import is_
+from typing import NamedTuple
 
 from .lexicon import AFFIX_KINDS, INFLECTIONS, LETTER_RUN3, Lexicon, Segment, normalize_token
 
@@ -37,6 +37,24 @@ _ASCII_WORD_BYTES = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in r
 # LETTER_RUN3 on lowercased ASCII text, two to three times faster
 _ASCII_LETTER_RUN3 = re.compile(r"([a-z])\1\1+")
 _MISS = object()  # what a memo lookup gives for a word it lacks
+
+
+class _computed_once:
+    """functools.cached_property without its lock. On Python 3.10 and
+    3.11 cached_property locks on every first access (3.12 dropped the
+    lock), and a run builds tens of thousands of best parses, each read
+    through both of Parse's properties. The first read stores the value in
+    the instance __dict__, which later reads find before this non-data
+    descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -65,12 +83,12 @@ class Parse:
 
     # Built on first use and kept with the parse, outside equality and repr,
     # so a memoized best parse builds them once however many spans it backs.
-    @cached_property
+    @_computed_once
     def categories(self) -> frozenset[str]:
         """The union of the segment entries' categories."""
         return frozenset(c for seg in self.segments if seg.entry for c in seg.entry.categories)
 
-    @cached_property
+    @_computed_once
     def span_json(self) -> str:
         """The end of a span's JSON object after its term: sorted
         categories, then segments, as json.dumps writes them."""
@@ -83,8 +101,9 @@ class Parse:
         return f', "categories": [{categories}], "segments": [{segments}]}}'
 
 
-@dataclass(frozen=True)
-class Span:
+# NamedTuples, as corpus.Post is: annotate_text builds a Span per match
+# and an Annotation per text, and a tuple builds faster than a dataclass.
+class Span(NamedTuple):
     start: int
     end: int
     term: str  # the raw matched substring, as it appears in the text
@@ -92,8 +111,7 @@ class Span:
     parse: Parse
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     post_id: str
     spans: tuple[Span, ...]
     token_count: int
@@ -109,20 +127,27 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _lowered_words(text: str) -> list[str]:
-    """[t.raw.lower() for t in tokenize(text)], read from the whole text
-    without a Token per word.
+def _lowered_words(text: str) -> tuple[str, list[str], list[str]]:
+    """(haystack, needles, words), read from the whole text without a
+    Token per word: words is [t.raw.lower() for t in tokenize(text)], and
+    needles are the same words as spelled in haystack, the text the reader
+    read, at tokenize's offsets.
 
     Lowercasing a whole text keeps each code point's length and word and
     letter status, so its words and letter runs are tokenize's, but for
     two code points: U+0130 (İ) lowercases to two characters, the second
     not a word character, and U+03A3 (Σ) lowercases by context (final
     sigma), which a whole text carries across a token boundary. A text
-    holding either is lowered word by word.
+    holding either is lowered word by word: its haystack is the text
+    itself and its needles the raw words. Any other text gives its
+    lowercase and that text's words, twice.
     """
     if "İ" in text or "Σ" in text:
-        return [word.lower() for word in _WORD.findall(text)]
-    return _read(text.lower())
+        raw = _WORD.findall(text)
+        return text, raw, [word.lower() for word in raw]
+    lowered = text.lower()
+    words = _read(lowered)
+    return lowered, words, words
 
 
 def _collapsed(lowered: str) -> str:
@@ -155,7 +180,7 @@ def normalized_words(text: str) -> list[str]:
     read once, from the collapsed text. Collapsing a letter run never moves
     a word boundary."""
     if "İ" in text or "Σ" in text:
-        return [_collapsed(word) for word in _lowered_words(text)]
+        return [_collapsed(word) for word in _lowered_words(text)[2]]
     return _read(_collapsed(text.lower()))
 
 
@@ -270,15 +295,15 @@ def _splits(base: str, lexicon: Lexicon) -> list[tuple[tuple[Segment, ...], int]
     return splits
 
 
-def _best_parses(text: str, lexicon: Lexicon) -> list[Parse | None]:
-    """Each word's best parse in text order, None where nothing parses.
-    The one reader and writer of lexicon.memo, which maps a lowercased word
-    to its best parse; only a miss collapses the word, whose elongated flag
-    follows, and decomposes it. A miss that finds the memo holding
-    MEMO_LIMIT words clears it first, so a long tail of distinct words
-    costs re-parses, not memory."""
+def _best_parses(words: list[str], lexicon: Lexicon) -> list[Parse | None]:
+    """Each word's best parse in order, None where nothing parses, for
+    lowercased words as _lowered_words reads them. The one reader and
+    writer of lexicon.memo, which maps a lowercased word to its best parse;
+    only a miss collapses the word, whose elongated flag follows, and
+    decomposes it. A miss that finds the memo holding MEMO_LIMIT words
+    clears it first, so a long tail of distinct words costs re-parses, not
+    memory."""
     memo = lexicon.memo
-    words = _lowered_words(text)
     bests = list(map(memo.get, words, repeat(_MISS)))
     for i in compress(range(len(bests)), map(is_, bests, repeat(_MISS))):
         word = words[i]
@@ -295,14 +320,34 @@ def _best_parses(text: str, lexicon: Lexicon) -> list[Parse | None]:
 
 
 def annotate_text(post_id: str, text: str, lexicon: Lexicon) -> Annotation:
-    """Annotate raw text through the lexicon's best-parse memo."""
-    bests = _best_parses(text, lexicon)
-    found = list(filter(None, bests))
-    matches = compress(_WORD.finditer(text), bests) if found else ()
-    spans = tuple(
-        Span(m.start(), m.end(), m.group(), best.categories, best) for m, best in zip(matches, found)
-    )
-    return Annotation(post_id, spans, len(bests), len(spans))
+    """Annotate raw text through the lexicon's best-parse memo, reading
+    the text once.
+
+    Each matched word's offset comes from a forward search for its needle
+    in the reader's haystack, from the end of the previous match. A hit
+    counts only as a whole word: neither neighbour isalnum(), which is
+    exactly _WORD's class. A hit inside a longer word resumes the search
+    past that word, so a text costs at most one search step per word. The
+    first whole-word hit is the matched word itself: an earlier one would
+    be an equal word, with the same best parse, and so a match itself.
+    The haystack keeps the text's offsets, and each term is cut from the
+    text itself.
+    """
+    haystack, needles, words = _lowered_words(text)
+    bests = _best_parses(words, lexicon)
+    spans = []
+    find, size, at = haystack.find, len(haystack), 0
+    for needle, best in compress(zip(needles, bests), bests):
+        while True:
+            at = find(needle, at)
+            end = at + len(needle)
+            if (at and haystack[at - 1].isalnum()) or (end < size and haystack[end].isalnum()):
+                at = _WORD.match(haystack, at).end()
+            else:
+                break
+        spans.append(tuple.__new__(Span, (at, end, text[at:end], best.categories, best)))
+        at = end
+    return Annotation(post_id, tuple(spans), len(bests), len(spans))
 
 
 def annotation_json(ann: Annotation) -> str:

@@ -681,9 +681,9 @@ class TestShardedScans:
         counted = []
         best_parses = corpus._best_parses
 
-        def spy(text, lexicon):
-            counted.append(text)
-            return best_parses(text, lexicon)
+        def spy(words, lexicon):
+            counted.append(words)
+            return best_parses(words, lexicon)
 
         monkeypatch.setattr(corpus, "_best_parses", spy)
         text = "".join(
@@ -696,7 +696,7 @@ class TestShardedScans:
         report = ReadReport()
         usage = scan_usage(text, seed_lexicon, user="u2", report=report)
         assert usage == {("u2", "2020-W01"): (1, 2, 0)}
-        assert counted == ["sooo cope"]
+        assert counted == [["sooo", "cope"]]
         assert report.parsed == 2
 
 

@@ -340,6 +340,15 @@ run_text = st.lists(
     max_size=12,
 ).map("".join)
 
+# Coded words with letters, digits or _ glued to either side, among bare
+# ones: a matched word's first hit in the text may lie inside a longer,
+# unmatched word, which annotate_text's offset search must pass over. A
+# glued İ sends the text down the reader's word-by-word path.
+glued = st.text(alphabet="xsé1_İ", max_size=2)
+shadowed_text = st.lists(
+    st.tuples(glued, st.sampled_from(CODED_WORDS), glued).map("".join), max_size=6
+).map(" ".join)
+
 
 def cold(lexicon):
     """A copy of lexicon with an empty memo."""
@@ -349,7 +358,7 @@ def cold(lexicon):
 def best_counts(text, lexicon):
     """(token_count, matched_count) from _best_parses, as the usage fold
     counts them, without a Span per match."""
-    bests = morpho._best_parses(text, lexicon)
+    bests = morpho._best_parses(morpho._lowered_words(text)[2], lexicon)
     return len(bests), len(list(filter(None, bests)))
 
 
@@ -360,7 +369,7 @@ def assert_views_match_reference(text, lexicon):
     expected = reference_annotation(text, lexicon)
     counts = (expected.token_count, expected.matched_count)
     tokens = tokenize(text)
-    assert morpho._lowered_words(text) == [t.raw.lower() for t in tokens]
+    assert morpho._lowered_words(text)[2] == [t.raw.lower() for t in tokens]
     assert normalized_words(text) == [t.normalized for t in tokens]
     for memoized in (cold(lexicon), lexicon):
         assert annotate_text("p", text, memoized) == expected
@@ -374,7 +383,7 @@ class TestMatchCounts:
     tokenize."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text))
+    @given(st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text, shadowed_text))
     def test_matches_reference(self, seed_lexicon, text):
         assert_views_match_reference(text, seed_lexicon)
 
@@ -397,10 +406,36 @@ class TestMatchCounts:
             "ééé ßßßß ²²² ½½½ ٣٣٣ ___ ……… sooo",
             # a text of many lines holding Σ and İ is lowered word by word
             "ΑΣ'Β\nwristcel sooo\n\nİx",
+            # a matched word whose first hit lies inside a longer, unmatched
+            # word: at either end, behind a digit, beside an underscore
+            "excel cel",
+            "celx cel",
+            "x1cel 1cel cel_cel",
+            "mogs smog mog",
+            # the same, in texts walked in the original
+            "ΑΣ'Β celx cel",
+            "İx wristcelx wristcel",
+            # one long word holding the matched word many times over
+            "celx" * 50_000 + " cel",
         ],
     )
     def test_pinned_cases(self, seed_lexicon, text):
         assert_views_match_reference(text, seed_lexicon)
+
+    def test_reads_each_text_once(self, seed_lexicon, monkeypatch):
+        # offsets come from the reader's own text: no second pass of _WORD
+        # over the text. The references come first, since tokenize is one.
+        texts = ["wristcel sooo excel cel", "café ßcel wristcel mogging", "ΑΣ'Β İx celx cel"]
+        expected = [reference_annotation(text, seed_lexicon) for text in texts]
+
+        class NoFinditer:
+            findall, match = _WORD.findall, _WORD.match
+
+            def finditer(self, *args):
+                raise AssertionError("annotate_text read the text a second time")
+
+        monkeypatch.setattr(morpho, "_WORD", NoFinditer())
+        assert [annotate_text("p", text, cold(seed_lexicon)) for text in texts] == expected
 
     def test_final_sigma_by_token(self):
         # tokenize lowercases "ΑΣ" alone, to the lexicon's "ας"; the whole
@@ -432,7 +467,10 @@ class TestMemoLimit:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 40),
-        st.lists(st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text), max_size=6),
+        st.lists(
+            st.one_of(st.text(), biased_text, casing_text, ascii_text, run_text, shadowed_text),
+            max_size=6,
+        ),
     )
     def test_limit_never_changes_a_result(self, seed_lexicon, limit, texts):
         lexicon = cold(seed_lexicon)
