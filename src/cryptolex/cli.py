@@ -21,6 +21,7 @@ from .lexicon import (
     export_tsv,
     load_lexicon,
     load_word_list,
+    read_utf8,
     seed_blocklist,
     seed_lexicon_text,
     validate,
@@ -174,7 +175,7 @@ def run_annotate(args) -> int:
     tokens = matched = 0
     if args.plain:
         # not read_text: its newline translation would shift every offset after a "\r\n"
-        text = Path(args.input).read_bytes().decode("utf-8")
+        text = read_utf8(Path(args.input))
         ann = annotate_text("plain", text, lexicon)
         with _open_output(args.output) as out:
             out.write(annotation_json(ann) + "\n")

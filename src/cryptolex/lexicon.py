@@ -54,7 +54,11 @@ class LexiconEntry:
 
     surface and variants are stored in normalized form: lowercase, letters
     and digits only, no letter run longer than two. Affix surfaces carry no
-    hyphens; kind alone says which side attaches.
+    hyphens; kind alone says which side attaches. categories may be given
+    as a list, tuple, set or frozenset of strings and is stored as a
+    frozenset; variants as a list or tuple, stored as a tuple in that order.
+    An entry checks every field itself, whether built here or loaded, field
+    types before values, so a record with two faults names the same one.
     """
 
     surface: str
@@ -66,6 +70,24 @@ class LexiconEntry:
     source: str = ""
 
     def __post_init__(self):
+        for name, containers in (
+            ("categories", (list, tuple, set, frozenset)),
+            ("variants", (list, tuple)),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, containers) or not all(isinstance(v, str) for v in value):
+                raise LexiconFormatError(f"{name} must be a list of strings")
+        if not isinstance(self.productive, bool):
+            raise LexiconFormatError("productive must be a boolean")
+        if not isinstance(self.definition, str):
+            raise LexiconFormatError("definition must be a string")
+        # no output could encode it; surface and variants already fail isalnum
+        if not self.definition.isascii() and _SURROGATE.search(self.definition):
+            raise LexiconFormatError("field 'definition' holds a lone surrogate")
+        if not isinstance(self.source, str):
+            raise LexiconFormatError("source must be a string")
+        object.__setattr__(self, "categories", frozenset(self.categories))
+        object.__setattr__(self, "variants", tuple(self.variants))
         _check_surface_form(self.surface, "surface")
         if self.kind not in KINDS:
             raise LexiconFormatError(f"unknown kind {self.kind!r} for {self.surface!r}")
@@ -213,45 +235,6 @@ def _may_parse_gate(prefix_forms: list[str], entry_forms: list[str]) -> re.Patte
 _ENTRY_KEYS = {f.name for f in fields(LexiconEntry)}
 
 
-def parse_entry(record: dict, line: int | None = None) -> LexiconEntry:
-    if not isinstance(record, dict):
-        raise LexiconFormatError("record is not a JSON object", line)
-    unknown = set(record) - _ENTRY_KEYS
-    if unknown:
-        raise LexiconFormatError(f"unknown fields {sorted(unknown)}", line)
-    for required in ("surface", "kind"):
-        if required not in record:
-            raise LexiconFormatError(f"missing required field {required!r}", line)
-    categories = record.get("categories", [])
-    variants = record.get("variants", [])
-    if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
-        raise LexiconFormatError("categories must be a list of strings", line)
-    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-        raise LexiconFormatError("variants must be a list of strings", line)
-    if not isinstance(record.get("productive", False), bool):
-        raise LexiconFormatError("productive must be a boolean", line)
-    definition = record.get("definition", "")
-    if not isinstance(definition, str):
-        raise LexiconFormatError("definition must be a string", line)
-    # no output could encode it; surface and variants already fail isalnum
-    if not definition.isascii() and _SURROGATE.search(definition):
-        raise LexiconFormatError("field 'definition' holds a lone surrogate", line)
-    try:
-        return LexiconEntry(
-            surface=record["surface"],
-            kind=record["kind"],
-            definition=definition,
-            categories=frozenset(categories),
-            productive=record.get("productive", False),
-            variants=tuple(variants),
-            source=record.get("source", ""),
-        )
-    except LexiconFormatError as exc:
-        if line is not None and exc.line is None:
-            raise LexiconFormatError(str(exc), line) from None
-        raise
-
-
 # json.loads' own C scanner, called without its Python wrapper frames
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
@@ -287,6 +270,17 @@ def parse_json_line(text: str, line: int | None, error: type[ValueError]):
     raise error(f"invalid JSON ({message})", line)
 
 
+def read_utf8(path: Path) -> str:
+    """A UTF-8 file's text, without newline translation. Invalid UTF-8
+    raises ValueError naming the file and the line it is on."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: invalid UTF-8") from None
+
+
 def read_lines(source: str | Path) -> list[str]:
     """The lines of a text (str) or of a UTF-8 file (Path), split on "\\n"
     only: one trailing "\\r" per line is dropped, so LF and CRLF files read
@@ -294,7 +288,7 @@ def read_lines(source: str | Path) -> list[str]:
     empty one. A file is decoded without newline translation, and
     str.splitlines is not used, so a line keeps a lone \\r, \\x0c, \\x85,
     U+2028 and other characters a definition or word may hold."""
-    text = source.read_bytes().decode("utf-8") if isinstance(source, Path) else source
+    text = read_utf8(source) if isinstance(source, Path) else source
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -310,9 +304,21 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
     entries = []
     for lineno, raw in enumerate(read_lines(source), start=1):
         text = raw.strip()
-        if text:
-            record = parse_json_line(text, lineno, LexiconFormatError)
-            entries.append(parse_entry(record, lineno))
+        if not text:
+            continue
+        record = parse_json_line(text, lineno, LexiconFormatError)
+        try:
+            if not isinstance(record, dict):
+                raise LexiconFormatError("record is not a JSON object")
+            unknown = set(record) - _ENTRY_KEYS
+            if unknown:
+                raise LexiconFormatError(f"unknown fields {sorted(unknown)}")
+            for required in ("surface", "kind"):
+                if required not in record:
+                    raise LexiconFormatError(f"missing required field {required!r}")
+            entries.append(LexiconEntry(**record))
+        except LexiconFormatError as exc:
+            raise LexiconFormatError(str(exc), lineno) from None
     return Lexicon(entries, blocklist)
 
 

@@ -25,5 +25,6 @@ def test_removed_names_are_gone():
         (corpus, "match_counts"),
         (lexicon, "parse_lexicon_lines"),
         (lexicon, "EXACT_KINDS"),
+        (lexicon, "parse_entry"),
     ]:
         assert not hasattr(module, name), (module.__name__, name)

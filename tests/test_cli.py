@@ -140,6 +140,29 @@ class TestLexiconCommand:
         assert not out.exists()
 
 
+class TestSideFileUtf8:
+    """Invalid UTF-8 in a side file is a data error that names the file and
+    the line, as in an annotate --plain input."""
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--lexicon", ["lexicon", "validate"]),
+            ("--blocklist", ["lexicon", "validate"]),
+            ("--stoplist", ["discover", "--input", "{corpus}", "--background", "{background}"]),
+        ],
+        ids=["lexicon", "blocklist", "stoplist"],
+    )
+    def test_invalid_utf8_names_file_and_line(self, corpus, background, tmp_path, capsys, flag, argv):
+        bad = tmp_path / "side.txt"
+        bad.write_bytes(b"cope\nwristcel \xff\n")
+        argv = [arg.format(corpus=corpus, background=background) for arg in argv]
+        assert main([*argv, flag, str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}: line 2: invalid UTF-8\n"
+
+
 class TestAnnotateCommand:
     def test_corpus_stream(self, corpus, capsys):
         assert main(["annotate", "--input", str(corpus), "--workers", "1"]) == 0
@@ -176,7 +199,7 @@ class TestAnnotateCommand:
         assert main(["annotate", "--plain", "--input", str(doc)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err == f"error: {doc}: line 1: invalid UTF-8\n"
 
     def test_blocklist_with_byte_order_mark_blocks_its_first_word(self, corpus, tmp_path, capsys):
         outputs = []

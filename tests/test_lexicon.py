@@ -80,6 +80,46 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="category"):
             entry("foo", categories=frozenset({"rude"}))
 
+    # an entry built in Python meets the rule a loaded one meets, field
+    # types included
+
+    def test_string_variants_rejected(self):
+        # a str iterates as one-letter forms: "xyz" would add x, y and z
+        with pytest.raises(LexiconFormatError, match="^variants must be a list of strings$"):
+            entry("abc", variants="xyz")
+
+    def test_string_productive_rejected(self):
+        # "no" is truthy, so it would license wristcel
+        with pytest.raises(LexiconFormatError, match="^productive must be a boolean$"):
+            entry("cel", "suffix", productive="no")
+
+    def test_non_string_definition_rejected(self):
+        # export_tsv would fail on it long after the entry was built
+        with pytest.raises(LexiconFormatError, match="^definition must be a string$"):
+            entry("cope", definition=5)
+
+    def test_string_categories_rejected(self):
+        with pytest.raises(LexiconFormatError, match="^categories must be a list of strings$"):
+            entry("abc", categories="racist")
+
+    def test_lone_surrogate_definition_rejected(self):
+        with pytest.raises(LexiconFormatError, match="^field 'definition' holds a lone surrogate$"):
+            entry("cope", definition="a \ud800 b")
+
+    def test_containers_are_stored_frozen(self):
+        # categories may come in any list, tuple, set or frozenset, variants
+        # in a list or tuple (their order is kept); the entry stays hashable
+        e = entry("abc", categories=["racist"], variants=["abd"])
+        assert e.categories == frozenset({"racist"})
+        assert e.variants == ("abd",)
+        for categories in (("racist",), {"racist"}):
+            same = entry("abc", categories=categories, variants=("abd",))
+            assert same == e and hash(same) == hash(e)
+
+    def test_unordered_variants_rejected(self):
+        with pytest.raises(LexiconFormatError, match="^variants must be a list of strings$"):
+            entry("abc", variants={"abd"})
+
 
 class TestLoading:
     def test_load_from_text(self):
@@ -183,6 +223,111 @@ class TestLoading:
         assert built.entries == (e,)
         assert pickle.loads(pickle.dumps(built)) == built
         assert Lexicon(iter([e])).forms == {"gymcel": e}
+
+
+# Each optional field under each kind of JSON value, and records with two
+# faults: the entry each record loads as, or the message that refuses it.
+# Field types are checked before values, so a record with two faults names
+# its first type fault.
+FIELD_MESSAGES = {
+    "categories": "categories must be a list of strings",
+    "variants": "variants must be a list of strings",
+    "productive": "productive must be a boolean",
+    "definition": "definition must be a string",
+    "source": "source must be a string",
+}
+JSON_VALUES = [None, 5, True, "racist", ["racist", 5], {"racist": 1}, ["racist"], []]
+# the values each field takes, by their JSON text, and the entry they give
+ACCEPTED = {
+    ("categories", '["racist"]'): {"categories": frozenset({"racist"})},
+    ("categories", "[]"): {},
+    ("variants", '["racist"]'): {"variants": ("racist",)},
+    ("variants", "[]"): {},
+    ("productive", "true"): {"productive": True},
+    ("definition", '"racist"'): {"definition": "racist"},
+    ("source", '"racist"'): {"source": "racist"},
+}
+
+
+def _one_field_rows():
+    for name, message in FIELD_MESSAGES.items():
+        for value in JSON_VALUES:
+            kw = ACCEPTED.get((name, json.dumps(value)))
+            expected = message if kw is None else LexiconEntry("cel", "suffix", **kw)
+            record = {"surface": "cel", "kind": "suffix", name: value}
+            yield pytest.param(record, expected, id=f"{name}={json.dumps(value)}")
+
+
+TWO_FAULTS = [
+    ({"surface": "ABC", "kind": "root", "categories": 5}, "categories must be a list of strings"),
+    ({"surface": "abc", "kind": "infix", "productive": "yes"}, "productive must be a boolean"),
+    ({"surface": 5, "kind": "root", "definition": 7}, "definition must be a string"),
+    ({"surface": "abc", "kind": "root", "variants": None, "categories": None},
+     "categories must be a list of strings"),
+    ({"surface": "abc", "kind": "root", "definition": 5, "productive": None},
+     "productive must be a boolean"),
+    ({"surface": "abc", "kind": "root", "categories": ["rude"], "variants": ["ABD"]},
+     "unknown category 'rude' for 'abc'"),
+    ({"surface": "abc", "kind": "root", "productive": True, "variants": ["abc"]},
+     "'abc': productive=true is only meaningful for prefix/suffix entries"),
+    ({"kind": "root", "categories": 5}, "missing required field 'surface'"),
+    ({"surface": "abc", "kind": "root", "weight": 1, "categories": 5}, "unknown fields ['weight']"),
+    ({"surface": "abc", "kind": "root", "definition": "\ud800", "source": 5},
+     "field 'definition' holds a lone surrogate"),
+    ({"surface": "abc", "kind": "root", "categories": ["rude"], "source": None},
+     "source must be a string"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, expected",
+    [*_one_field_rows(), *(pytest.param(r, m, id="+".join(r)) for r, m in TWO_FAULTS)],
+)
+def test_json_field_table(record, expected):
+    text = json.dumps(record)
+    if isinstance(expected, str):
+        with pytest.raises(LexiconFormatError) as exc:
+            load_lexicon(text)
+        assert str(exc.value) == f"line 1: {expected}"
+    else:
+        assert load_lexicon(text).entries == (expected,)
+
+
+# any JSON value, and values that break one rule or another
+json_junk = st.one_of(
+    st.none(),
+    st.integers(-1, 5),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.text(max_size=3), st.integers(0, 2)), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+forms = st.sampled_from(["abc", "abd", "cel", "racist", "ABD", "", "a-b", "weee"])
+entry_records = st.fixed_dictionaries(
+    {"surface": forms | json_junk, "kind": st.sampled_from(KINDS + ("infix",)) | json_junk},
+    optional={
+        "categories": st.lists(st.sampled_from(CATEGORIES + ("rude",)), max_size=3) | json_junk,
+        "variants": st.lists(forms, max_size=3) | json_junk,
+        "productive": st.booleans() | json_junk,
+        "definition": definitions | st.just("a \ud800") | json_junk,
+        "source": st.text(max_size=5) | json_junk,
+    },
+)
+
+
+@given(entry_records)
+def test_construction_matches_loading(record):
+    """An entry built from a record in Python and one loaded from the same
+    record as JSON are equal, or fail with the same message."""
+    try:
+        built = LexiconEntry(**record)
+    except LexiconFormatError as exc:
+        built = str(exc)
+    try:
+        (loaded,) = load_lexicon(json.dumps(record)).entries
+    except LexiconFormatError as exc:
+        loaded = str(exc).removeprefix("line 1: ")
+    assert built == loaded
 
 
 class TestBlocklist:
