@@ -8,6 +8,7 @@ never the corpus, so memory tracks vocabulary size.
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import signal
@@ -15,6 +16,7 @@ from collections import Counter, defaultdict, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -166,15 +168,21 @@ def _as_lines(source: Path | str | Iterable[str | bytes]) -> Iterator[str | byte
 
 
 def _parse_lines(
-    numbered: Iterable[tuple[int, str | bytes]], strict: bool, report: ReadReport
+    numbered: Iterable[tuple[int, str | bytes]],
+    strict: bool,
+    report: ReadReport,
+    path: Path | None = None,
 ) -> Iterator[Post]:
     """The one skip/strict parser over (line number, raw line) pairs: skip
-    mode tallies and drops malformed lines, strict mode raises on the first."""
+    mode tallies and drops malformed lines, strict mode raises on the first.
+    A scan's chunk of a file passes its path, which then starts each error."""
     for lineno, raw in numbered:
         report.lines += 1
         try:
             post = parse_post_line(raw, lineno)
         except PostFormatError as exc:
+            if path is not None:
+                exc.args = (f"{path}: {exc}",)  # .line stays
             if strict:
                 raise
             report.record_error(str(exc))
@@ -279,9 +287,11 @@ def iso_week(created_utc: int) -> str:
     return f"{year:04d}-W{week:02d}"
 
 
+@functools.lru_cache(maxsize=4096)  # labels: some 78 years of weeks
 def week_index(label: str) -> int:
     """Monotone integer index of an ISO week label; consecutive weeks differ
-    by exactly 1, across year boundaries too."""
+    by exactly 1, across year boundaries too. Labels are remembered, so a
+    gap report parses each distinct week once; a bad label raises each time."""
     year, week = label.split("-W")
     return date.fromisocalendar(int(year), int(week), 1).toordinal() // 7
 
@@ -347,12 +357,12 @@ def _run_unless_stopped(chunk_fn, chunk):
     return None if _state.stop.is_set() else chunk_fn(chunk)
 
 
-def _chunk_posts(chunk: tuple[int, list[str | bytes]]) -> tuple[list[Post], ReadReport]:
+def _chunk_posts(chunk: tuple[int, list, Path | None]) -> tuple[list[Post], ReadReport]:
     # parsed up front: interleaving parsing with annotation measured about
     # 7% slower for CLI annotate at 2 workers on a 2-core machine
-    start, lines = chunk
+    start, lines, path = chunk
     report = ReadReport()
-    return list(_parse_lines(enumerate(lines, start), _state.strict, report)), report
+    return list(_parse_lines(enumerate(lines, start), _state.strict, report, path)), report
 
 
 def _scan_words_chunk(chunk) -> tuple[FrequencyTable, ReadReport]:
@@ -388,18 +398,13 @@ def _scan_annotate_chunk(chunk) -> tuple[tuple[str, int, int], ReadReport]:
 
 
 def _chunks(source) -> Iterator[tuple[int, list[str | bytes]]]:
+    """(first line number, lines) per CHUNK_LINES lines of source."""
     size = CHUNK_LINES  # read once, when the first chunk is asked for
-    batch: list[str | bytes] = []
+    lines = _as_lines(source)
     start = 1
-    lineno = 0
-    for lineno, raw in enumerate(_as_lines(source), start=1):
-        batch.append(raw)
-        if len(batch) >= size:
-            yield start, batch
-            batch = []
-            start = lineno + 1
-    if batch:
+    while batch := list(islice(lines, size)):
         yield start, batch
+        start += len(batch)
 
 
 def _run_chunks(
@@ -430,6 +435,11 @@ def _run_chunks(
         pending: deque = deque()
         try:
             while True:
+                # results already back go out before the next read, which
+                # may block on a slow input
+                while pending and (len(pending) >= window or pending[0][1].done()):
+                    tag, future = pending.popleft()
+                    yield tag, future.result()
                 try:
                     tag, chunk = next(chunks)
                 except StopIteration:
@@ -443,9 +453,6 @@ def _run_chunks(
                         yield tag, future.result()
                     raise
                 pending.append((tag, pool.submit(_run_unless_stopped, chunk_fn, chunk)))
-                if len(pending) >= window:
-                    tag, future = pending.popleft()
-                    yield tag, future.result()
             while pending:
                 tag, future = pending.popleft()
                 yield tag, future.result()
@@ -463,13 +470,18 @@ def _map_chunks(
 ) -> Iterator[tuple[int, object]]:
     """Run chunk_fn under state over the line chunks of each source in
     turn, through one pool, yielding (source index, part) in input order
-    and adding each chunk's ReadReport into report. Lines are numbered
-    within each source.
+    and adding each chunk's ReadReport into report. A chunk is (first line
+    number, lines, the source if it is a Path, else None): lines are
+    numbered within each source, and a file's errors name it.
 
     In-flight futures are capped so the parent never buffers more than a
     bounded window of lines regardless of corpus size.
     """
-    tagged = ((index, chunk) for index, source in enumerate(sources) for chunk in _chunks(source))
+    tagged = (
+        (index, (start, lines, source if isinstance(source, Path) else None))
+        for index, source in enumerate(sources)
+        for start, lines in _chunks(source)
+    )
     for index, (part, chunk_report) in _run_chunks(tagged, chunk_fn, state, workers):
         if report is not None:
             report.add(chunk_report)

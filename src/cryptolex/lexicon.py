@@ -306,8 +306,8 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
         text = raw.strip()
         if not text:
             continue
-        record = parse_json_line(text, lineno, LexiconFormatError)
         try:
+            record = parse_json_line(text, None, LexiconFormatError)
             if not isinstance(record, dict):
                 raise LexiconFormatError("record is not a JSON object")
             unknown = set(record) - _ENTRY_KEYS
@@ -318,7 +318,10 @@ def load_lexicon(source: str | Path, blocklist: Iterable[str] = ()) -> Lexicon:
                     raise LexiconFormatError(f"missing required field {required!r}")
             entries.append(LexiconEntry(**record))
         except LexiconFormatError as exc:
-            raise LexiconFormatError(str(exc), lineno) from None
+            error = LexiconFormatError(str(exc), lineno)
+            if isinstance(source, Path):  # named as read_utf8 names it
+                error.args = (f"{source}: {error}",)
+            raise error from None
     return Lexicon(entries, blocklist)
 
 

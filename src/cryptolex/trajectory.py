@@ -10,10 +10,10 @@ before the gap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from io import StringIO
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import csv
 
@@ -21,8 +21,9 @@ from .corpus import Post, fold_usage, label_weeks, week_index
 from .lexicon import Lexicon
 
 
-@dataclass(frozen=True)
-class WeekBucket:
+class WeekBucket(NamedTuple):
+    # NamedTuples, as Post is: a trajectory run builds one per (user, week)
+    # and one per gap, and a tuple builds faster than a frozen dataclass
     iso_week: str
     posts: int
     tokens: int
@@ -36,8 +37,7 @@ class UsageSeries:
     buckets: tuple[WeekBucket, ...]
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     last_active_week: str
     next_active_week: str
     gap_weeks: int
@@ -58,11 +58,14 @@ def _rate(matched: int, tokens: int) -> float:
 
 def series_from_counts(user: str, week_counts: dict[str, tuple[int, int, int]]) -> UsageSeries:
     """Build a series from {iso_week: (posts, tokens, matched)} aggregates."""
-    buckets = []
-    for week in sorted(week_counts):
-        n_posts, n_tokens, n_matched = week_counts[week]
-        buckets.append(WeekBucket(week, n_posts, n_tokens, n_matched, _rate(n_matched, n_tokens)))
-    return UsageSeries(user=user, buckets=tuple(buckets))
+    # tuple.__new__ skips the Python frame of WeekBucket's own __new__, and
+    # the rate is _rate's, inline, for the same reason
+    new = tuple.__new__
+    buckets = tuple(
+        new(WeekBucket, (week, posts, tokens, matched, matched / tokens if tokens > 0 else 0.0))
+        for week, (posts, tokens, matched) in sorted(week_counts.items())
+    )
+    return UsageSeries(user=user, buckets=buckets)
 
 
 def usage_series(posts: Iterable[Post], lexicon: Lexicon) -> UsageSeries:
@@ -97,16 +100,9 @@ def detect_gaps(series: UsageSeries, min_gap_weeks: int = 4) -> GapReport:
         if absent >= min_gap_weeks:
             pre = _rate(matched[i], tokens[i])
             post = _rate(matched[-1] - matched[i], tokens[-1] - tokens[i])
-            gaps.append(
-                Gap(
-                    last_active_week=buckets[i - 1].iso_week,
-                    next_active_week=buckets[i].iso_week,
-                    gap_weeks=absent,
-                    pre_rate=pre,
-                    post_rate=post,
-                    escalation=(post / pre) if pre > 0 else None,
-                )
-            )
+            escalation = (post / pre) if pre > 0 else None
+            last, next_ = buckets[i - 1].iso_week, buckets[i].iso_week
+            gaps.append(tuple.__new__(Gap, (last, next_, absent, pre, post, escalation)))
     return GapReport(user=series.user, gaps=tuple(gaps))
 
 
@@ -114,7 +110,7 @@ def _rows(groups: list[tuple[str, tuple]], number: Callable[[float], object]) ->
     """One row per record: its user, then its fields, each float through number."""
     for user, records in groups:
         for record in records:
-            yield [user, *[number(v) if isinstance(v, float) else v for v in vars(record).values()]]
+            yield [user, *[number(v) if isinstance(v, float) else v for v in record]]
 
 
 def export_series(data, format: str = "csv") -> str:
@@ -137,7 +133,7 @@ def export_series(data, format: str = "csv") -> str:
         record_type, groups = Gap, [(it.user, it.gaps) for it in items]
     else:
         raise ValueError("cannot mix series and gap reports in one export")
-    columns = ["user", *(f.name for f in fields(record_type))]
+    columns = ["user", *record_type._fields]
 
     if format == "csv":
         buffer = StringIO()

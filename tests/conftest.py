@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import re
 from datetime import date, datetime, timezone
@@ -131,6 +133,39 @@ def assert_tsv_rows(text: str, entries) -> None:
             "variants": ",".join(e.variants),
             "definition": re.sub(r"[\t\r\n]", " ", e.definition),
         }
+
+
+# export_series' columns after "user", by record kind, and the ones holding rates
+SERIES_FIELDS = ("iso_week", "posts", "tokens", "matched", "rate")
+GAP_FIELDS = (
+    "last_active_week", "next_active_week", "gap_weeks", "pre_rate", "post_rate", "escalation"
+)
+RATE_FIELDS = {"rate", "pre_rate", "post_rate", "escalation"}
+
+
+def reference_export(items: list, format: str) -> str:
+    """export_series over a list of series or of gap reports, each record
+    read field by field by name: a rate to six decimals (f"{v:.6f}" in csv,
+    round(v, 6) in jsonl), None as an empty cell or null."""
+    gaps = hasattr(items[0], "gaps")
+    names = GAP_FIELDS if gaps else SERIES_FIELDS
+    rows = []
+    for item in items:
+        for record in item.gaps if gaps else item.buckets:
+            row = {"user": item.user}
+            for name in names:
+                value = getattr(record, name)
+                if name in RATE_FIELDS and value is not None:
+                    value = f"{value:.6f}" if format == "csv" else round(value, 6)
+                row[name] = value
+            rows.append(row)
+    if format == "jsonl":
+        return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["user", *names])
+    writer.writerows([["" if v is None else v for v in row.values()] for row in rows])
+    return buffer.getvalue()
 
 
 def week_ts(year: int, week: int, day: int = 3, hour: int = 12) -> int:

@@ -130,7 +130,8 @@ class TestLexiconCommand:
         out.write_bytes(b"untouched")
         argv = ["lexicon", action, "--lexicon", str(lex)]
         assert main(argv + (["--output", str(out)] if action == "export" else [])) == 1
-        assert capsys.readouterr().err == "error: line 1: field 'definition' holds a lone surrogate\n"
+        reason = "field 'definition' holds a lone surrogate"
+        assert capsys.readouterr().err == f"error: {lex}: line 1: {reason}\n"
         assert out.read_bytes() == b"untouched"
 
     def test_validate_output_is_usage_error(self, tmp_path, capsys):
@@ -263,10 +264,10 @@ class TestAnnotateCommand:
         assert main(["annotate", "--input", str(path), "--workers", "1"]) == 0
         captured = capsys.readouterr()
         assert [json.loads(line)["id"] for line in captured.out.splitlines()] == ["p1", "p3"]
-        assert "skipped 1 malformed lines (first: line 2: invalid UTF-8)" in captured.err
+        assert f"skipped 1 malformed lines (first: {path}: line 2: invalid UTF-8)" in captured.err
         assert "posts 2 " in captured.err
         assert main(["annotate", "--input", str(path), "--strict", "--workers", "1"]) == 1
-        assert "error: line 2: invalid UTF-8" in capsys.readouterr().err
+        assert f"error: {path}: line 2: invalid UTF-8" in capsys.readouterr().err
 
     def test_strict_aborts(self, tmp_path, capsys):
         path = tmp_path / "posts.jsonl"
@@ -290,7 +291,7 @@ class TestAnnotateCommand:
         assert [json.loads(line)["id"] for line in captured.out.splitlines()] == [
             f"p{i}" for i in range(n)
         ]
-        assert captured.err == f"error: line {n + 2}: invalid JSON (Expecting value)\n"
+        assert captured.err == f"error: {path}: line {n + 2}: invalid JSON (Expecting value)\n"
 
 
 class TestDiscoverCommand:
@@ -395,10 +396,30 @@ class TestDiscoverCommand:
             assert main(argv) == 1
             errors.append(capsys.readouterr().err)
         if strict:
-            expected = "error: line 5: invalid JSON (Expecting value)\n"
+            expected = f"error: {target}: line 5: invalid JSON (Expecting value)\n"
         else:
             expected = f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert errors == [expected, expected]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_line_errors_name_their_file(self, corpus, tmp_path, capsys, workers):
+        # the same bad line 2 in the target, the background or the lexicon
+        posts, lexicon = tmp_path / "bad-posts.jsonl", tmp_path / "bad-lexicon.jsonl"
+        for path, text in ((posts, corpus.read_text(encoding="utf-8")), (lexicon, seed_lexicon_text())):
+            path.write_text(text.split("\n")[0] + "\nbroken\n", encoding="utf-8")
+        reason = "line 2: invalid JSON (Expecting value)"
+        argv = ["discover", "--affixes", "--workers", workers]
+        for bad, flags in (
+            (posts, ["--input", posts, "--background", corpus]),
+            (posts, ["--input", corpus, "--background", posts]),
+            (lexicon, ["--input", corpus, "--background", corpus, "--lexicon", lexicon]),
+        ):
+            assert main([*argv, *map(str, flags), "--strict"]) == 1
+            assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+            if bad == posts:
+                assert main([*argv, *map(str, flags)]) == 0
+                summary = f"skipped 1 malformed lines (first: {bad}: {reason})\n"
+                assert summary in capsys.readouterr().err
 
     def test_alpha_zero_is_usage_error(self, corpus, background):
         assert main(
@@ -539,9 +560,9 @@ class TestExitContract:
         argv = ["trajectory", "--all", "--input", str(path), "--workers", workers]
         assert main(argv) == 0
         err = capsys.readouterr().err
-        assert f"skipped 1 malformed lines (first: line 2: invalid JSON ({reason}))" in err
+        assert f"skipped 1 malformed lines (first: {path}: line 2: invalid JSON ({reason}))" in err
         assert main(argv + ["--strict"]) == 1
-        assert capsys.readouterr().err == f"error: line 2: invalid JSON ({reason})\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: invalid JSON ({reason})\n"
 
     @pytest.mark.parametrize(
         "command, field", [(["annotate"], "id"), (["trajectory", "--all"], "user")]
@@ -559,7 +580,7 @@ class TestExitContract:
         out = tmp_path / "out"
         argv = [*command, "--input", str(path), "--workers", workers, "--output", str(out)]
         assert main(argv) == 0
-        reason = f"line 2: field {field!r} holds a lone surrogate"
+        reason = f"{path}: line 2: field {field!r} holds a lone surrogate"
         assert f"skipped 1 malformed lines (first: {reason})" in capsys.readouterr().err
         written = out.read_text(encoding="utf-8")
         if field == "id":
@@ -726,6 +747,21 @@ def skip_summary(report: ReadReport) -> str:
     return f"skipped {report.skipped} malformed lines (first: {report.first_error})\n"
 
 
+def read_file_posts(path: Path, strict: bool, report: ReadReport) -> list:
+    """read_posts over a file, each line error naming the file as a scan's
+    does: in report's first error, or in the PostFormatError raised."""
+    file_report = ReadReport()
+    try:
+        posts = list(read_posts(path, strict=strict, report=file_report))
+    except PostFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    if file_report.first_error:
+        file_report.first_error = f"{path}: {file_report.first_error}"
+    report.add(file_report)
+    return posts
+
+
 def reference_discover(posts, background, words, strict) -> tuple[int, str, str, bytes | None]:
     """What discover --min-count 1 gives, in one process: each source's
     table from words(text) over read_posts, ranked and rendered. In strict
@@ -733,12 +769,10 @@ def reference_discover(posts, background, words, strict) -> tuple[int, str, str,
     ends the run."""
     report, tables = ReadReport(), []
     for source in (posts, background):
-        source_report = ReadReport()
         try:
-            texts = [post.text for post in read_posts(source, strict=strict, report=source_report)]
+            texts = [post.text for post in read_file_posts(source, strict, report)]
         except PostFormatError as exc:
             return 1, "", f"error: {exc}\n", None
-        report.add(source_report)
         counts = Counter(word for text in texts for word in words(text))
         tables.append(FrequencyTable(dict(counts), sum(counts.values()), len(texts)))
     for which, table in zip(("target", "background"), tables):
@@ -759,7 +793,7 @@ def reference_trajectory(posts, lexicon, strict) -> tuple[int, str, str, bytes |
     malformed line ends the run."""
     report = ReadReport()
     try:
-        usage = reference_usage(read_posts(posts, strict=strict, report=report), lexicon)
+        usage = reference_usage(read_file_posts(posts, strict, report), lexicon)
     except PostFormatError as exc:
         return 1, "", f"error: {exc}\n", None
     if not usage:
@@ -777,16 +811,14 @@ def reference_annotate(posts, lexicon, strict, chunk) -> tuple[int, str, str, by
     process: an annotation_json line per post from reference_annotation. In
     strict mode the first malformed line ends the run, and the output holds
     the chunks before the one that line is in."""
-    source, error = posts, None
-    if strict:
-        try:
-            for _ in read_posts(posts, strict=True):
-                pass
-        except PostFormatError as exc:
-            error = exc
-            source = posts.read_bytes().split(b"\n")[: (exc.line - 1) // chunk * chunk]
-    report = ReadReport()
-    anns = [reference_annotation(p.text, lexicon, p.id) for p in read_posts(source, report=report)]
+    error, report = None, ReadReport()
+    try:
+        kept = read_file_posts(posts, strict, report)
+    except PostFormatError as exc:
+        # the chunks before the bad line's, all well formed
+        error = exc
+        kept = read_posts(posts.read_bytes().split(b"\n")[: (exc.line - 1) // chunk * chunk])
+    anns = [reference_annotation(p.text, lexicon, p.id) for p in kept]
     written = "".join(annotation_json(ann) + "\n" for ann in anns).encode()
     if error is not None:
         return 1, "", f"error: {error}\n", written
@@ -872,6 +904,23 @@ INTERRUPT_SCRIPT = (
 )
 
 
+def annotate_fifo(fifo: Path, workers: int) -> subprocess.Popen:
+    """The CLI in a child process and a new process group, annotating the
+    FIFO in one-line chunks, its stdout and stderr piped as text."""
+    root = Path(__file__).resolve().parents[1]
+    # src last: a sitecustomize.py already on PYTHONPATH still runs first
+    path = [p for p in (os.environ.get("PYTHONPATH"), str(root / "src")) if p]
+    return subprocess.Popen(
+        [sys.executable, "-u", "-c", INTERRUPT_SCRIPT, "annotate", "--input", str(fifo),
+         "--workers", str(workers)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        start_new_session=True,
+    )
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("busy", [False, True], ids=["waiting-for-input", "holding-a-chunk"])
@@ -884,25 +933,15 @@ def test_ctrl_c_ends_with_one_line(tmp_path, workers, busy):
     "interrupted", and leaves no process behind."""
     fifo = tmp_path / "posts.jsonl"
     os.mkfifo(fifo)
-    root = Path(__file__).resolve().parents[1]
-    # src last: a sitecustomize.py already on PYTHONPATH still runs first
-    path = [p for p in (os.environ.get("PYTHONPATH"), str(root / "src")) if p]
-    child = subprocess.Popen(
-        [sys.executable, "-u", "-c", INTERRUPT_SCRIPT, "annotate", "--input", str(fifo),
-         "--workers", str(workers)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
-        start_new_session=True,
-    )
+    child = annotate_fifo(fifo, workers)
     # a child that hangs before its first line is killed, failing the test
     watchdog = threading.Timer(60, os.killpg, (child.pid, signal.SIGKILL))
     watchdog.start()
     try:
         # read-write, so opening does not wait for the child to open it
         with open(os.open(fifo, os.O_RDWR), "w", encoding="utf-8") as feed:
-            # a pool yields its first result once 2 x workers chunks are in flight
+            # with 2 x workers chunks in flight, a pool yields its first
+            # result even if no later read returns
             for i in range(2 * workers):
                 feed.write(json.dumps(make_post(f"p{i}", "u", week_ts(2020, 1), "a wristcel")) + "\n")
             feed.flush()
@@ -932,3 +971,36 @@ def test_ctrl_c_ends_with_one_line(tmp_path, workers, busy):
             break
         assert time.monotonic() < deadline, "a process outlived the CLI"
         time.sleep(0.05)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_pooled_annotate_writes_a_done_chunk_before_its_window_fills(tmp_path):
+    """A pooled scan yields each result that is back before it reads on:
+    annotate at two workers, reading a FIFO in one-line chunks, writes the
+    first post's line once the second line comes, with the window of
+    2 x workers chunks far from full, and lines 3 and 4 never written."""
+    fifo = tmp_path / "posts.jsonl"
+    os.mkfifo(fifo)
+    lines = [json.dumps(make_post(p, "u", week_ts(2020, 1), "wristcel")) + "\n" for p in ("p0", "p1")]
+    child = annotate_fifo(fifo, 2)
+    # a child that holds the first line back is killed, failing the test
+    watchdog = threading.Timer(30, os.killpg, (child.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        with open(os.open(fifo, os.O_RDWR), "w", encoding="utf-8") as feed:
+            feed.write(lines[0])
+            feed.flush()
+            time.sleep(1)  # the first chunk is done while the CLI waits for line 2
+            feed.write(lines[1])
+            feed.flush()
+            first = child.stdout.readline()
+        # the FIFO, closed, ends the input
+        rest, err = child.communicate(timeout=60)
+    finally:
+        watchdog.cancel()
+        if child.poll() is None:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+    assert first.startswith('{"id": "p0"')
+    assert rest.startswith('{"id": "p1"') and rest.count("\n") == 1
+    assert child.returncode == 0, err

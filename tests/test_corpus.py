@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from datetime import date, timedelta
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -486,6 +488,22 @@ class TestWeeks:
         assert week_index("2020-W01") - week_index("2019-W52") == 1
         assert week_index("2021-W01") - week_index("2020-W53") == 1
 
+    @pytest.mark.parametrize("label", ["2020-W54", "2019-W53", "2020-W00", "2020", "2020-Wxx"])
+    def test_bad_week_label_raises_every_time(self, label):
+        # a label that raised is not remembered, so it raises again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                week_index(label)
+
+    def test_week_index_memo_is_bounded(self):
+        bound = week_index.cache_info().maxsize
+        monday = date(1900, 1, 1)
+        for n in range(bound + 100):
+            year, week, _ = (monday + timedelta(weeks=n)).isocalendar()
+            expected = date.fromisocalendar(year, week, 1).toordinal() // 7
+            assert week_index(f"{year:04d}-W{week:02d}") == expected
+        assert week_index.cache_info().currsize <= bound
+
 
 class TestFoldUsage:
     """fold_usage counts each key's texts as one text, joined by "\\n"."""
@@ -550,6 +568,28 @@ def corpus_file(tmp_path, n=40):
     return write_jsonl(tmp_path / "corpus.jsonl", rows)
 
 
+class TestChunks:
+    """_chunks cuts every kind of source into the same (start, lines) slices."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("text", ["", "a\n", "a", "a\nb\n", "a\nb\nc\nd\ne", "a\r\n\nb\nc\n"])
+    def test_slices_of_the_lines(self, tmp_path, size, text):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        for make_source in (lambda: path, lambda: text, lambda: io.StringIO(text)):
+            lines = list(corpus._as_lines(make_source()))
+            expected = [(i + 1, lines[i : i + size]) for i in range(0, len(lines), size)]
+            with chunk_lines(size):
+                assert list(corpus._chunks(make_source())) == expected
+
+    def test_size_is_read_at_the_first_chunk(self):
+        # not when the scan is made, and not again for later chunks
+        chunks = corpus._chunks("a\nb\nc\nd\ne\n")
+        with chunk_lines(2):
+            assert next(chunks) == (1, ["a", "b"])
+        assert list(chunks) == [(3, ["c", "d"]), (5, ["e"])]
+
+
 class TestShardedScans:
     def test_matches_single_pass_build(self, tmp_path, seed_lexicon):
         path = corpus_file(tmp_path)
@@ -611,8 +651,9 @@ class TestShardedScans:
         with chunk_lines(1):
             table = scan_frequency_table(path, workers=2, report=scan_report)
         assert table.doc_count == 2
-        assert report == scan_report
+        # a scan of a file names it; read_posts reads any source alike
         assert (report.lines, report.skipped, report.first_error) == (3, 1, "line 2: invalid UTF-8")
+        assert scan_report == ReadReport(3, 2, 1, f"{path}: line 2: invalid UTF-8")
 
     def test_skip_scan_reports(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -715,7 +756,7 @@ class TestTwoSourceScan:
                 with chunk_lines(1), pytest.raises(PostFormatError) as err:
                     scan_tables(sources, lexicon, workers=workers, strict=True)
                 assert err.value.line == 3
-                assert str(err.value) == str(expected.value)
+                assert str(err.value) == f"{background}: {expected.value}"
 
     def test_target_error_comes_first(self, tmp_path):
         target = tmp_path / "target.jsonl"
@@ -730,7 +771,7 @@ class TestTwoSourceScan:
         assert [t.doc_count for t in tables] == [3, 0]
         assert tables[1] == FrequencyTable()
         assert (report.lines, report.skipped) == (5, 2)
-        assert report.first_error.startswith("line 4: invalid JSON")
+        assert report.first_error.startswith(f"{target}: line 4: invalid JSON")
 
 
     def test_unreadable_source_comes_after_earlier_chunks(self, tmp_path, seed_lexicon):
@@ -753,7 +794,7 @@ class TestTwoSourceScan:
 def _record_chunk(chunk):
     """A chunk function for the pool tests: a "fail" line raises at once,
     any other line names a file that is touched after a while."""
-    start, lines = chunk
+    start, lines, _ = chunk
     if lines[0] == "fail":
         raise PostFormatError("planted", start)
     time.sleep(0.5)
@@ -938,6 +979,11 @@ class Corpus:
         return (lambda: self.path, lambda: self.text, lambda: io.StringIO(self.text))
 
 
+def named(source, message: str | None) -> str | None:
+    """A scan's error message for a line of source: a file's names it."""
+    return f"{source}: {message}" if message and isinstance(source, Path) else message
+
+
 @settings(max_examples=30, deadline=None)
 @given(scan_lines, scan_lines, st.integers(1, 4))
 def test_scan_invariant_to_source_workers_and_chunks(
@@ -949,28 +995,32 @@ def test_scan_invariant_to_source_workers_and_chunks(
     expected, reference = target.expected, target.report
     with chunk_lines(size):
         for make_source in target.sources():
+            named_report = replace(reference, first_error=named(make_source(), reference.first_error))
             for workers in (1, 2):
                 for name, scan in SCANS.items():
                     report = ReadReport()
                     result = scan(make_source(), seed_lexicon, report=report, workers=workers)
                     assert result == expected[name], name
-                    assert report == reference, name
+                    assert report == named_report, name
                     if target.bad:
                         with pytest.raises(PostFormatError) as err:
                             scan(make_source(), seed_lexicon, strict=True, workers=workers)
                         assert err.value.line == target.bad[0], name
-                        assert str(err.value) == str(target.strict_error), name
+                        assert str(err.value) == named(make_source(), str(target.strict_error)), name
         # the folded report of both sources is the sum of read_posts' reports,
         # and strict mode raises on the target's first bad line, else the
-        # background's, as a scan of that source alone would
-        both = ReadReport(
-            reference.lines + background.report.lines,
-            reference.parsed + background.report.parsed,
-            reference.skipped + background.report.skipped,
-            reference.first_error or background.report.first_error,
-        )
+        # background's, as a scan of that source alone would; a file's error
+        # names the file
         first = target if target.bad else background
         for make_target, make_background in zip(target.sources(), background.sources()):
+            both = ReadReport(
+                reference.lines + background.report.lines,
+                reference.parsed + background.report.parsed,
+                reference.skipped + background.report.skipped,
+                named(make_target(), reference.first_error)
+                or named(make_background(), background.report.first_error),
+            )
+            make_first = make_target if target.bad else make_background
             for workers in (1, 2):
                 for name, scan in PAIR_SCANS.items():
                     report = ReadReport()
@@ -983,7 +1033,7 @@ def test_scan_invariant_to_source_workers_and_chunks(
                         with pytest.raises(PostFormatError) as err:
                             scan(sources, seed_lexicon, strict=True, workers=workers)
                         assert err.value.line == first.bad[0], name
-                        assert str(err.value) == str(first.strict_error), name
+                        assert str(err.value) == named(make_first(), str(first.strict_error)), name
 
 
 # the scans whose chunks read each word's best parse through the memo

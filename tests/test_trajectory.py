@@ -20,7 +20,7 @@ from cryptolex import (
     week_index,
 )
 
-from conftest import make_post, week_ts
+from conftest import make_post, reference_export, week_ts
 
 
 def post(pid, user, year, week, text):
@@ -253,3 +253,27 @@ def test_export_writes_floats_to_six_decimals(rate, gap_rates):
     assert [[r["pre_rate"], r["post_rate"], r["escalation"]] for r in records] == [
         [number(v) for v in gap] for gap in gap_rates
     ]
+
+
+# rates with many decimals, ones that round up at the sixth, and huge ones
+many_decimals = st.floats(min_value=0, max_value=1e17, allow_subnormal=True) | st.sampled_from(
+    [1 / 3, 2 / 3, 0.0000005, 0.1234565, 0.9999995, 123456.789012345]
+)
+labels = st.text(max_size=8)
+counts = st.integers(0, 10**6)
+buckets = st.builds(WeekBucket, labels, counts, counts, counts, many_decimals)
+gaps = st.builds(
+    Gap, labels, labels, st.integers(1, 500), many_decimals, many_decimals, st.none() | many_decimals
+)
+# users with commas, quotes, line breaks and non-ASCII letters
+users = st.text(alphabet="uıİΣé,\"\n\r ß🙂", max_size=6) | st.text(max_size=6)
+series_lists = st.lists(st.builds(UsageSeries, users, st.lists(buckets).map(tuple)), min_size=1)
+report_lists = st.lists(st.builds(GapReport, users, st.lists(gaps).map(tuple)), min_size=1)
+
+
+@settings(max_examples=200)
+@given(series_lists | report_lists, st.sampled_from(["csv", "jsonl"]), st.booleans())
+def test_export_matches_the_reference_renderer(items, format, one):
+    data = items[0] if one else items
+    expected = reference_export(items[:1] if one else items, format)
+    assert export_series(data, format=format) == expected
